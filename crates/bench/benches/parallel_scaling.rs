@@ -1,6 +1,6 @@
 //! **parallel_scaling** — the [`dap_relalg::ParPool`]-sharded hot paths
-//! against their sequential counterparts: cold-start materialized-plan
-//! construction and the batched view-deletion dispatcher. The
+//! against their sequential counterparts: cold-start registration in a
+//! one-query registry and the batched view-deletion dispatcher. The
 //! `report_parallel` binary measures the same shape, asserts identical
 //! results per row, and applies the ≥3× acceptance bar (on ≥4 hardware
 //! threads); this bench tracks the trend under Criterion. A sequential
@@ -11,17 +11,17 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dap_bench::pj_multiwitness_workload;
 use dap_core::dichotomy::delete_min_view_side_effects_many_with;
 use dap_provenance::WitnessesAnn;
-use dap_relalg::{eval, MaterializedPlan, ParPool, Tuple};
+use dap_relalg::{eval, ParPool, PlanRegistry, Tuple};
 use std::hint::black_box;
 
-/// `(users, groups, files)` triples for plan construction.
+/// `(users, groups, files)` triples for registry construction.
 const BUILD_SIZES: [(usize, usize, usize); 2] = [(16, 6, 16), (32, 8, 32)];
 /// Sizes for the batched solve (16 targets each).
 const SOLVE_SIZES: [(usize, usize, usize); 2] = [(8, 4, 8), (16, 6, 16)];
 
-fn bench_plan_build(c: &mut Criterion) {
+fn bench_registry_build(c: &mut Criterion) {
     for (name, pool) in [("seq", ParPool::sequential()), ("par", ParPool::auto())] {
-        let mut group = c.benchmark_group(format!("parallel_scaling/plan_build/{name}"));
+        let mut group = c.benchmark_group(format!("parallel_scaling/registry_build/{name}"));
         group.sample_size(10);
         for (users, groups, files) in BUILD_SIZES {
             let w = pj_multiwitness_workload(users, groups, files);
@@ -29,10 +29,9 @@ fn bench_plan_build(c: &mut Criterion) {
                 BenchmarkId::from_parameter(format!("pairs={}", users * groups * files)),
                 |b| {
                     b.iter(|| {
-                        let plan =
-                            MaterializedPlan::<WitnessesAnn>::build_with(&w.query, &w.db, pool)
-                                .expect("builds");
-                        black_box(plan.len())
+                        let mut reg = PlanRegistry::<WitnessesAnn>::with_pool(&w.db, pool);
+                        let id = reg.register(&w.query).expect("registers");
+                        black_box(reg.view_len(id))
                     })
                 },
             );
@@ -65,5 +64,5 @@ fn bench_solve_many(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_plan_build, bench_solve_many);
+criterion_group!(benches, bench_registry_build, bench_solve_many);
 criterion_main!(benches);

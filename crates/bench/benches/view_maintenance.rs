@@ -3,7 +3,7 @@
 //!
 //! The serving-loop question: after each of a stream of source deletions,
 //! what is the current why-provenance view? The maintained side pushes the
-//! stream through one `MaterializedPlan<WitnessesAnn>`
+//! stream through one `PlanRegistry<WitnessesAnn>` holding the query
 //! (`delete_sources`, `O(affected)` per deletion); the baseline re-packs
 //! `S \ T` and runs `eval_annotated` per deletion — the only answer the
 //! one-shot engine has. The `report_maintenance` binary measures the same
@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dap_bench::{maintenance_deletion_sequence, pj_multiwitness_workload};
 use dap_provenance::WitnessesAnn;
-use dap_relalg::{eval_annotated, MaterializedPlan, Tid};
+use dap_relalg::{eval_annotated, PlanRegistry, Tid};
 use std::collections::BTreeSet;
 use std::hint::black_box;
 
@@ -28,14 +28,15 @@ fn bench_maintained(c: &mut Criterion) {
     for (users, groups, files) in SIZES {
         let w = pj_multiwitness_workload(users, groups, files);
         let seq = maintenance_deletion_sequence(&w.db, DELETIONS);
-        let base = MaterializedPlan::<WitnessesAnn>::build(&w.query, &w.db).expect("builds");
+        let mut base = PlanRegistry::<WitnessesAnn>::new(&w.db);
+        base.register(&w.query).expect("registers");
         group.bench_function(
             BenchmarkId::from_parameter(format!("view={}", users * files)),
             |b| {
                 b.iter(|| {
-                    let mut plan = base.clone();
+                    let mut reg = base.clone();
                     for tid in &seq {
-                        black_box(plan.delete_sources(std::slice::from_ref(tid)));
+                        black_box(reg.delete_sources(std::slice::from_ref(tid)));
                     }
                 })
             },

@@ -1,58 +1,28 @@
-//! Measure the hot-path data layout (global value interning + fingerprinted
-//! join/bucket keys) against the legacy layout, and the persistent worker
-//! pool against a spawn-per-call baseline; emit `BENCH_hotpath.json`.
+//! Measure the persistent worker pool against a spawn-per-call baseline and
+//! emit `BENCH_hotpath.json`.
 //!
 //! ```text
 //! cargo run --release -p dap-bench --bin report_hotpath
 //! ```
 //!
-//! Three phases, all timed on a **one-thread pool** so every ratio is a
-//! data-layout (or dispatch-overhead) win, never a parallelism win:
+//! **pool_dispatch** — many small parallel maps through the persistent
+//! worker pool vs a spawn-per-call `thread::scope` baseline doing the
+//! identical sharded work.
 //!
-//! * **join_build** — cold-start `MaterializedPlan::<WitnessesAnn>`
-//!   construction on a join-heavy workload, fingerprinted layout vs the
-//!   legacy `Vec<&Value>`-keyed layout (switched in-process with
-//!   [`force_layout`]);
-//! * **serving_turn** — the end-to-end apply/solve serving loop
-//!   (`delete_min_view_side_effects_apply_many`: witness-context build,
-//!   per-target solve, `apply_delete`, incremental refresh), fingerprinted
-//!   vs legacy;
-//! * **pool_dispatch** — many small parallel maps through the persistent
-//!   worker pool vs a spawn-per-call `thread::scope` baseline doing the
-//!   identical sharded work.
-//!
-//! Every row **asserts identical results** between the two layouts (the
-//! overhaul's bit-identical contract) — those assertions are always on.
-//! The wall-clock acceptance bars (≥3× join_build, ≥1.5× serving_turn,
-//! dispatch below spawn cost) are relaxed by `DAP_BENCH_NO_ASSERT=1` so a
-//! noisy shared CI runner records an honest artifact instead of failing
-//! the build.
+//! The row **asserts identical results** between the two dispatchers and
+//! the sequential map — those assertions are always on. The wall-clock
+//! acceptance bar (dispatch below spawn cost) is relaxed by
+//! `DAP_BENCH_NO_ASSERT=1` so a noisy shared CI runner records an honest
+//! artifact instead of failing the build.
 
-use dap_bench::{selective_join_workload, speedup_ratio};
-use dap_core::dichotomy::delete_min_view_side_effects_apply_many;
-use dap_provenance::WitnessesAnn;
-use dap_relalg::{eval, force_layout, LayoutMode, MaterializedPlan, ParPool, Tuple, Unit};
+use dap_bench::speedup_ratio;
+use dap_relalg::ParPool;
 use std::time::{Duration, Instant};
 
-/// Rows-per-relation sizes for the join-build rows.
-const BUILD_SIZES: [usize; 3] = [4_000, 8_000, 16_000];
-/// Rows-per-relation sizes for the serving-turn rows.
-const SERVE_SIZES: [usize; 3] = [2_000, 4_000, 8_000];
-/// View-deletion targets per serving-turn row.
-const TARGETS: usize = 8;
 /// Dispatches per pool-overhead sample; items per dispatch.
 const DISPATCHES: usize = 400;
 const ITEMS: usize = 64;
 const RUNS: usize = 9;
-
-struct Row {
-    phase: &'static str,
-    size: usize,
-    aux: usize,
-    slow: Duration,
-    fast: Duration,
-    speedup: f64,
-}
 
 /// Time `slow` and `fast` with **interleaved** samples (slow, fast, slow,
 /// fast, ...) and return the per-closure medians. Interleaving keeps a
@@ -78,264 +48,86 @@ fn median_pair<F: FnMut(), G: FnMut()>(
     (s_samples[runs / 2], f_samples[runs / 2])
 }
 
-/// Run `f` with the layout forced to `mode`, restoring the default after.
-fn under<R>(mode: LayoutMode, f: impl FnOnce() -> R) -> R {
-    force_layout(Some(mode));
-    let r = f();
-    force_layout(None);
-    r
-}
-
-fn render_json(hw_threads: usize, rows: &[Row]) -> String {
-    let mut out = format!(
-        "{{\n  \"bench\": \"hotpath_layout\",\n  \"hw_threads\": {hw_threads},\n  \
-         \"bench_threads\": 1,\n  \"rows\": [\n"
-    );
-    for (i, row) in rows.iter().enumerate() {
-        let (slow_key, fast_key) = if row.phase == "pool_dispatch" {
-            ("spawn_ns", "persistent_ns")
-        } else {
-            ("legacy_ns", "fingerprint_ns")
-        };
-        out.push_str(&format!(
-            "    {{\"phase\": \"{}\", \"size\": {}, \"aux\": {}, \"{}\": {}, \"{}\": {}, \
-             \"speedup\": {:.2}, \"identical\": true}}{}\n",
-            row.phase,
-            row.size,
-            row.aux,
-            slow_key,
-            row.slow.as_nanos(),
-            fast_key,
-            row.fast.as_nanos(),
-            row.speedup,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    let min_for = |phase: &str| {
-        rows.iter()
-            .filter(|r| r.phase == phase)
-            .map(|r| r.speedup)
-            .fold(f64::INFINITY, f64::min)
-    };
-    out.push_str(&format!(
-        "  ],\n  \"min_speedup_join_build\": {:.2},\n  \
-         \"min_speedup_serving_turn\": {:.2},\n  \
-         \"dispatch_speedup\": {:.2}\n}}\n",
-        min_for("join_build"),
-        min_for("serving_turn"),
-        min_for("pool_dispatch")
-    ));
-    out
-}
-
 fn main() {
-    // The layout phases must not be confused by parallel speedups: pin the
-    // process-default pool (used inside the serving loop) to one thread
-    // before anything resolves it.
-    if std::env::var_os("DAP_THREADS").is_none() {
-        std::env::set_var("DAP_THREADS", "1");
-    }
-    let pool1 = ParPool::new(1);
     let hw_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     println!("==============================================================");
-    println!(" hotpath_layout — interned/fingerprinted layout vs legacy");
+    println!(" hotpath — persistent pool dispatch vs spawn-per-call");
     println!("==============================================================\n");
-    println!("hardware threads: {hw_threads}; all phases timed at 1 thread\n");
+    println!("hardware threads: {hw_threads}\n");
     println!(
         "{:>13} {:>9} {:>14} {:>14} {:>9}",
-        "phase", "size", "legacy/spawn", "fp/persistent", "speedup"
+        "phase", "size", "spawn", "persistent", "speedup"
     );
 
-    let mut rows: Vec<Row> = Vec::new();
-
-    for size in BUILD_SIZES {
-        let w = selective_join_workload(42, size);
-        // Identical results first: same tuples, same witness bases — under
-        // the annotation carrier the serving pipeline actually uses.
-        let legacy_snap = under(LayoutMode::Legacy, || {
-            MaterializedPlan::<WitnessesAnn>::build_with(&w.query, &w.db, pool1)
-                .expect("builds")
-                .snapshot()
-        });
-        let fp_snap = under(LayoutMode::Fingerprint, || {
-            MaterializedPlan::<WitnessesAnn>::build_with(&w.query, &w.db, pool1)
-                .expect("builds")
-                .snapshot()
-        });
-        assert_eq!(
-            legacy_snap.tuples(),
-            fp_snap.tuples(),
-            "layouts diverged (tuples)"
-        );
-        assert_eq!(
-            legacy_snap.annotations(),
-            fp_snap.annotations(),
-            "layouts diverged (annotations)"
-        );
-        let run_mode = |mode: LayoutMode| {
-            under(mode, || {
-                let plan =
-                    MaterializedPlan::<Unit>::build_with(&w.query, &w.db, pool1).expect("builds");
-                std::hint::black_box(plan.len());
-            })
-        };
-        let (slow, fast) = median_pair(
-            RUNS,
-            || run_mode(LayoutMode::Legacy),
-            || run_mode(LayoutMode::Fingerprint),
-        );
-        let speedup = speedup_ratio(slow, fast);
-        println!(
-            "{:>13} {:>9} {:>14?} {:>14?} {:>8.2}x",
-            "join_build", size, slow, fast, speedup
-        );
-        rows.push(Row {
-            phase: "join_build",
-            size,
-            aux: legacy_snap.len(),
-            slow,
-            fast,
-            speedup,
-        });
-    }
-
-    for size in SERVE_SIZES {
-        let w = selective_join_workload(7, size);
-        let view = eval(&w.query, &w.db).expect("evaluates");
-        let targets: Vec<Tuple> = view.tuples.iter().take(TARGETS).cloned().collect();
-        let legacy_out = under(LayoutMode::Legacy, || {
-            delete_min_view_side_effects_apply_many(&w.query, &w.db, &targets).expect("solves")
-        });
-        let fp_out = under(LayoutMode::Fingerprint, || {
-            delete_min_view_side_effects_apply_many(&w.query, &w.db, &targets).expect("solves")
-        });
-        assert_eq!(legacy_out, fp_out, "layouts diverged (serving loop)");
-        let run_mode = |mode: LayoutMode| {
-            under(mode, || {
-                let out = delete_min_view_side_effects_apply_many(&w.query, &w.db, &targets)
-                    .expect("solves");
-                std::hint::black_box(out.len());
-            })
-        };
-        let (slow, fast) = median_pair(
-            RUNS,
-            || run_mode(LayoutMode::Legacy),
-            || run_mode(LayoutMode::Fingerprint),
-        );
-        let speedup = speedup_ratio(slow, fast);
-        println!(
-            "{:>13} {:>9} {:>14?} {:>14?} {:>8.2}x",
-            "serving_turn", size, slow, fast, speedup
-        );
-        rows.push(Row {
-            phase: "serving_turn",
-            size,
-            aux: targets.len(),
-            slow,
-            fast,
-            speedup,
-        });
-    }
-
-    // Pool dispatch overhead: the same sharded map, dispatched DISPATCHES
-    // times, through the persistent pool vs fresh OS threads per call.
-    {
-        let threads = hw_threads.clamp(2, 4);
-        let pool = ParPool::new(threads);
-        let work = |i: usize| -> u64 {
-            let mut acc = i as u64;
-            for k in 0..32u64 {
-                acc = acc.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(7) ^ k;
-            }
-            acc
-        };
-        let expected: Vec<u64> = (0..ITEMS).map(work).collect();
-        assert_eq!(
-            pool.par_indices(ITEMS, work),
-            expected,
-            "persistent pool diverged from sequential"
-        );
-        let (spawned, persistent) = median_pair(
-            RUNS,
-            || {
-                for _ in 0..DISPATCHES {
-                    let mut out: Vec<Vec<u64>> = Vec::new();
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = (0..threads)
-                            .map(|s| {
-                                scope.spawn(move || {
-                                    (s * ITEMS / threads..(s + 1) * ITEMS / threads)
-                                        .map(work)
-                                        .collect::<Vec<u64>>()
-                                })
+    // The same sharded map, dispatched DISPATCHES times, through the
+    // persistent pool vs fresh OS threads per call.
+    let threads = hw_threads.clamp(2, 4);
+    let pool = ParPool::new(threads);
+    let work = |i: usize| -> u64 {
+        let mut acc = i as u64;
+        for k in 0..32u64 {
+            acc = acc.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(7) ^ k;
+        }
+        acc
+    };
+    let expected: Vec<u64> = (0..ITEMS).map(work).collect();
+    assert_eq!(
+        pool.par_indices(ITEMS, work),
+        expected,
+        "persistent pool diverged from sequential"
+    );
+    let (spawned, persistent) = median_pair(
+        RUNS,
+        || {
+            for _ in 0..DISPATCHES {
+                let mut out: Vec<Vec<u64>> = Vec::new();
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = (0..threads)
+                        .map(|s| {
+                            scope.spawn(move || {
+                                (s * ITEMS / threads..(s + 1) * ITEMS / threads)
+                                    .map(work)
+                                    .collect::<Vec<u64>>()
                             })
-                            .collect();
-                        out = handles.into_iter().map(|h| h.join().unwrap()).collect();
-                    });
-                    let flat: Vec<u64> = out.into_iter().flatten().collect();
-                    assert_eq!(flat, expected, "spawn-per-call baseline diverged");
-                }
-            },
-            || {
-                for _ in 0..DISPATCHES {
-                    std::hint::black_box(pool.par_indices(ITEMS, work));
-                }
-            },
-        );
-        let speedup = speedup_ratio(spawned, persistent);
-        println!(
-            "{:>13} {:>9} {:>14?} {:>14?} {:>8.2}x",
-            "pool_dispatch", DISPATCHES, spawned, persistent, speedup
-        );
-        rows.push(Row {
-            phase: "pool_dispatch",
-            size: DISPATCHES,
-            aux: threads,
-            slow: spawned,
-            fast: persistent,
-            speedup,
-        });
-    }
+                        })
+                        .collect();
+                    out = handles.into_iter().map(|h| h.join().unwrap()).collect();
+                });
+                let flat: Vec<u64> = out.into_iter().flatten().collect();
+                assert_eq!(flat, expected, "spawn-per-call baseline diverged");
+            }
+        },
+        || {
+            for _ in 0..DISPATCHES {
+                std::hint::black_box(pool.par_indices(ITEMS, work));
+            }
+        },
+    );
+    let speedup = speedup_ratio(spawned, persistent);
+    println!(
+        "{:>13} {:>9} {:>14?} {:>14?} {:>8.2}x",
+        "pool_dispatch", DISPATCHES, spawned, persistent, speedup
+    );
 
-    let json = render_json(hw_threads, &rows);
+    let json = format!(
+        "{{\n  \"bench\": \"hotpath\",\n  \"hw_threads\": {hw_threads},\n  \"rows\": [\n    \
+         {{\"phase\": \"pool_dispatch\", \"size\": {DISPATCHES}, \"aux\": {threads}, \
+         \"spawn_ns\": {}, \"persistent_ns\": {}, \"speedup\": {speedup:.2}, \
+         \"identical\": true}}\n  ],\n  \"dispatch_speedup\": {speedup:.2}\n}}\n",
+        spawned.as_nanos(),
+        persistent.as_nanos(),
+    );
     std::fs::write("BENCH_hotpath.json", &json).expect("write BENCH_hotpath.json");
     println!("\nwrote BENCH_hotpath.json");
 
-    let assertions_on = std::env::var_os("DAP_BENCH_NO_ASSERT").is_none();
-    let largest_of = |phase: &str| {
-        rows.iter()
-            .rev()
-            .find(|r| r.phase == phase)
-            .expect("rows exist")
-    };
-    let build = largest_of("join_build");
-    let serve = largest_of("serving_turn");
-    let dispatch = largest_of("pool_dispatch");
-    if assertions_on {
+    if std::env::var_os("DAP_BENCH_NO_ASSERT").is_none() {
         assert!(
-            build.speedup >= 3.0,
-            "fingerprinted join build must be >=3x the legacy layout at the \
-             largest size and one thread (measured {:.2}x)",
-            build.speedup
-        );
-        assert!(
-            serve.speedup >= 1.5,
-            "fingerprinted serving turns must be >=1.5x the legacy layout at \
-             the largest size and one thread (measured {:.2}x)",
-            serve.speedup
-        );
-        assert!(
-            dispatch.speedup >= 1.0,
+            speedup >= 1.0,
             "persistent pool dispatch must not cost more than spawn-per-call \
-             (measured {:.2}x)",
-            dispatch.speedup
+             (measured {speedup:.2}x)"
         );
     }
-    println!(
-        "acceptance: join_build {:.2}x (bar 3x), serving_turn {:.2}x (bar 1.5x), \
-         pool dispatch {:.2}x over spawn-per-call (bar 1x)",
-        build.speedup, serve.speedup, dispatch.speedup
-    );
+    println!("acceptance: pool dispatch {speedup:.2}x over spawn-per-call (bar 1x)");
 }

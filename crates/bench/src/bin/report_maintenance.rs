@@ -1,5 +1,5 @@
-//! Measure maintained view deltas (`MaterializedPlan::delete_sources`)
-//! against full re-evaluation per deletion and emit
+//! Measure maintained view deltas (`PlanRegistry::delete_sources` on a
+//! one-query registry) against full re-evaluation per deletion and emit
 //! `BENCH_maintenance.json`.
 //!
 //! ```text
@@ -11,7 +11,8 @@
 //! source deletions, what is the current annotated (why-provenance) view?
 //!
 //! * the **maintained** path pushes each deletion through one
-//!   `MaterializedPlan<WitnessesAnn>` (`O(affected)` per deletion);
+//!   `PlanRegistry<WitnessesAnn>` holding the query (`O(affected)` per
+//!   deletion);
 //! * the **full re-evaluation** baseline answers the same stream the only
 //!   way the one-shot engine can — rebuild `S \ T` and run
 //!   `eval_annotated` per deletion.
@@ -19,7 +20,7 @@
 //! Both paths are checked to produce identical views at every step of the
 //! stream (same tuples, same per-tuple witness multiplicities — the
 //! renumbering-invariant form, since fresh evaluations re-pack row ids
-//! while the plan keeps the originals; full structural equality is pinned
+//! while the registry keeps the originals; full structural equality is pinned
 //! by `tests/prop_maintenance.rs`). The acceptance bar is a ≥10× speedup
 //! at the largest size. Set `DAP_BENCH_NO_ASSERT=1` to make the run
 //! report-only (CI does: a noisy shared runner must not fail the build on
@@ -30,7 +31,7 @@ use dap_bench::{
     SpeedupRow,
 };
 use dap_provenance::WitnessesAnn;
-use dap_relalg::{eval_annotated, Database, MaterializedPlan, Query, Tid};
+use dap_relalg::{eval_annotated, Database, PlanRegistry, Query, Tid};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -81,17 +82,21 @@ fn main() {
         let seq = maintenance_deletion_sequence(&w.db, DELETIONS);
         assert_eq!(seq.len(), DELETIONS, "database large enough for the stream");
 
+        let mut base_reg = PlanRegistry::<WitnessesAnn>::new(&w.db);
+        let id = base_reg.register(&w.query).expect("registers");
+
         // Correctness first: identical views asserted at every step.
         {
-            let mut plan =
-                MaterializedPlan::<WitnessesAnn>::build(&w.query, &w.db).expect("builds");
+            let mut reg = base_reg.clone();
             let mut deleted: BTreeSet<Tid> = BTreeSet::new();
             for tid in &seq {
-                plan.delete_sources(std::slice::from_ref(tid));
+                reg.delete_sources(std::slice::from_ref(tid));
                 deleted.insert(tid.clone());
                 let fresh = fingerprint_fresh(&w.query, &w.db.without(&deleted));
-                let maintained: Vec<(dap_relalg::Tuple, usize)> =
-                    plan.iter().map(|(t, a)| (t.clone(), a.0.len())).collect();
+                let maintained: Vec<(dap_relalg::Tuple, usize)> = reg
+                    .iter_query(id)
+                    .map(|(t, a)| (t.clone(), a.0.len()))
+                    .collect();
                 assert_eq!(
                     maintained, fresh,
                     "maintained and re-evaluated views diverged after {deleted:?}"
@@ -99,15 +104,14 @@ fn main() {
             }
         }
 
-        // Maintained: one plan per run (built outside the timer), the
+        // Maintained: one registry per run (cloned outside the timer), the
         // stream pushed through it one deletion at a time.
-        let base_plan = MaterializedPlan::<WitnessesAnn>::build(&w.query, &w.db).expect("builds");
         let fast = median_with_setup(
             RUNS,
-            || base_plan.clone(),
-            |mut plan| {
+            || base_reg.clone(),
+            |mut reg| {
                 for tid in &seq {
-                    std::hint::black_box(plan.delete_sources(std::slice::from_ref(tid)));
+                    std::hint::black_box(reg.delete_sources(std::slice::from_ref(tid)));
                 }
             },
         );

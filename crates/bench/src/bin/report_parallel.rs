@@ -1,8 +1,10 @@
-//! Measure the scoped-thread parallel runtime against the sequential code
-//! paths on the two sharded hot paths and emit `BENCH_parallel.json`:
+//! Measure the parallel runtime against the sequential code paths on the
+//! two sharded hot paths and emit `BENCH_parallel.json`:
 //!
-//! * **plan_build** — cold-start `MaterializedPlan::<WitnessesAnn>`
-//!   construction (`build_with`), sequential pool vs the auto pool;
+//! * **registry_build** — cold-start registration of the query in a
+//!   one-query `PlanRegistry::<WitnessesAnn>` (`with_pool` + `register`,
+//!   whose operator builds shard row-by-row), sequential pool vs the auto
+//!   pool;
 //! * **solve_many** — the batched view-deletion dispatcher
 //!   (`delete_min_view_side_effects_many_with`) over a target list,
 //!   sequential pool vs the auto pool (per-thread stamped indexes).
@@ -24,10 +26,10 @@
 use dap_bench::{pj_multiwitness_workload, speedup_ratio};
 use dap_core::dichotomy::delete_min_view_side_effects_many_with;
 use dap_provenance::WitnessesAnn;
-use dap_relalg::{eval, MaterializedPlan, ParPool, Tuple};
+use dap_relalg::{eval, Database, ParPool, PlanRegistry, Query, QueryId, Tuple};
 use std::time::{Duration, Instant};
 
-/// `(users, groups, files)` triples for the plan-build rows: the join
+/// `(users, groups, files)` triples for the registry-build rows: the join
 /// materializes `users · groups · files` annotated pairs.
 const BUILD_SIZES: [(usize, usize, usize); 3] = [(16, 6, 16), (24, 8, 24), (32, 8, 32)];
 /// Sizes for the batched-solve rows (exact searches grow fast in
@@ -45,6 +47,13 @@ struct Row {
     par: Duration,
     par1: Duration,
     speedup: f64,
+}
+
+/// A one-query registry over `db` built on `pool`, with `q`'s id.
+fn build(q: &Query, db: &Database, pool: ParPool) -> (PlanRegistry<WitnessesAnn>, QueryId) {
+    let mut reg = PlanRegistry::<WitnessesAnn>::with_pool(db, pool);
+    let id = reg.register(q).expect("registers");
+    (reg, id)
 }
 
 /// Median wall time of `runs` executions.
@@ -87,8 +96,8 @@ fn render_json(hw_threads: usize, par_threads: usize, rows: &[Row]) -> String {
             .fold(f64::INFINITY, f64::min)
     };
     out.push_str(&format!(
-        "  ],\n  \"min_speedup_plan_build\": {:.2},\n  \"min_speedup_solve_many\": {:.2}\n}}\n",
-        min_for("plan_build"),
+        "  ],\n  \"min_speedup_registry_build\": {:.2},\n  \"min_speedup_solve_many\": {:.2}\n}}\n",
+        min_for("registry_build"),
         min_for("solve_many")
     ));
     out
@@ -108,7 +117,7 @@ fn main() {
         par.threads()
     );
     println!(
-        "{:>12} {:>8} {:>14} {:>14} {:>14} {:>9}",
+        "{:>14} {:>8} {:>14} {:>14} {:>14} {:>9}",
         "phase", "size", "sequential", "parallel", "threads=1", "speedup"
     );
 
@@ -117,12 +126,11 @@ fn main() {
     for (users, groups, files) in BUILD_SIZES {
         let w = pj_multiwitness_workload(users, groups, files);
         // Identical results first: same tuples, same witness bases.
-        let s = MaterializedPlan::<WitnessesAnn>::build_with(&w.query, &w.db, seq)
-            .expect("builds")
-            .snapshot();
-        let p = MaterializedPlan::<WitnessesAnn>::build_with(&w.query, &w.db, par)
-            .expect("builds")
-            .snapshot();
+        let view = |pool| {
+            let (reg, id) = build(&w.query, &w.db, pool);
+            reg.snapshot(id)
+        };
+        let (s, p) = (view(seq), view(par));
         assert_eq!(s.tuples(), p.tuples(), "parallel build diverged (tuples)");
         assert_eq!(
             s.annotations(),
@@ -131,20 +139,19 @@ fn main() {
         );
         let time_pool = |pool: ParPool| {
             median(RUNS, || {
-                let plan = MaterializedPlan::<WitnessesAnn>::build_with(&w.query, &w.db, pool)
-                    .expect("builds");
-                std::hint::black_box(plan.len());
+                let (reg, id) = build(&w.query, &w.db, pool);
+                std::hint::black_box(reg.view_len(id));
             })
         };
         let (seq_t, par_t, par1_t) = (time_pool(seq), time_pool(par), time_pool(ParPool::new(1)));
         let size = users * groups * files;
         let speedup = speedup_ratio(seq_t, par_t);
         println!(
-            "{:>12} {:>8} {:>14?} {:>14?} {:>14?} {:>8.2}x",
-            "plan_build", size, seq_t, par_t, par1_t, speedup
+            "{:>14} {:>8} {:>14?} {:>14?} {:>14?} {:>8.2}x",
+            "registry_build", size, seq_t, par_t, par1_t, speedup
         );
         rows.push(Row {
-            phase: "plan_build",
+            phase: "registry_build",
             size,
             seq: seq_t,
             par: par_t,
@@ -173,7 +180,7 @@ fn main() {
         let size = users * files;
         let speedup = speedup_ratio(seq_t, par_t);
         println!(
-            "{:>12} {:>8} {:>14?} {:>14?} {:>14?} {:>8.2}x",
+            "{:>14} {:>8} {:>14?} {:>14?} {:>14?} {:>8.2}x",
             "solve_many", size, seq_t, par_t, par1_t, speedup
         );
         rows.push(Row {
@@ -217,7 +224,7 @@ fn main() {
             .find(|r| r.phase == phase)
             .expect("rows exist")
     };
-    for phase in ["plan_build", "solve_many"] {
+    for phase in ["registry_build", "solve_many"] {
         let row = largest_of(phase);
         if assertions_on {
             assert!(

@@ -1,6 +1,6 @@
 //! Measure shared-registry maintenance (`PlanRegistry::delete_sources` —
 //! one delta push fanned out to every registered query) against `N`
-//! independently maintained `MaterializedPlan`s and emit
+//! independently maintained one-query registries and emit
 //! `BENCH_shared.json`.
 //!
 //! ```text
@@ -18,16 +18,15 @@
 //!   are hash-consed into single nodes, so each deletion's delta is
 //!   computed once and fanned out;
 //! * the **independent** baseline pushes the same deletion through `N`
-//!   separate `MaterializedPlan<WitnessesAnn>`s, re-doing the core work
-//!   `N` times.
+//!   separate one-query `PlanRegistry<WitnessesAnn>`s, re-doing the core
+//!   work `N` times.
 //!
 //! Before timing, every measured row's configuration is driven through
 //! the full deletion stream with **identical per-query `ViewDelta`s
 //! asserted at every step** (this correctness gate is always on —
 //! `DAP_BENCH_NO_ASSERT` only disables the wall-clock acceptance bars, so
-//! the speedup numbers can't silently go wrong). The acceptance bars are
-//! a ≥4× speedup at N=16 overlapping queries and ≤10% sharing overhead at
-//! N=1 against a bare `MaterializedPlan`.
+//! the speedup numbers can't silently go wrong). The acceptance bar is a
+//! ≥4× speedup at N=16 overlapping queries.
 //!
 //! Both stacks run on the sequential pool: the bench isolates the
 //! *sharing* win (the thread-scaling win is `report_parallel`'s job), and
@@ -35,14 +34,14 @@
 
 use dap_bench::{maintenance_deletion_sequence, shared_query_family, speedup_ratio, SpeedupRow};
 use dap_provenance::WitnessesAnn;
-use dap_relalg::{MaterializedPlan, ParPool, PlanRegistry, Query, Tid};
+use dap_relalg::{Database, ParPool, PlanRegistry, Query, Tid};
 use std::time::{Duration, Instant};
 
 /// `(users, groups, files)`: the core view has `users · files` tuples,
 /// each with `groups` witnesses.
 const SHAPE: (usize, usize, usize) = (32, 6, 32);
-/// Registered-query counts measured (the acceptance bars read N=1/N=16).
-const NS: [usize; 3] = [1, 4, 16];
+/// Registered-query counts measured (the acceptance bar reads N=16).
+const NS: [usize; 2] = [4, 16];
 /// Length of the deletion stream at every N.
 const DELETIONS: usize = 16;
 const RUNS: usize = 9;
@@ -65,28 +64,35 @@ fn median_with_setup<S, F: FnMut() -> S, G: FnMut(S)>(
     samples[samples.len() / 2]
 }
 
-/// Drive one family through the whole stream on both stacks, asserting
-/// identical per-query deltas after every deletion. Returns the shared
-/// DAG's node count.
-fn assert_identical_deltas(queries: &[Query], db: &dap_relalg::Database, seq: &[Tid]) -> usize {
+/// A sequential-pool registry serving `queries`.
+fn registry_of(db: &Database, queries: &[Query]) -> PlanRegistry<WitnessesAnn> {
     let mut reg = PlanRegistry::<WitnessesAnn>::with_pool(db, ParPool::sequential());
     for q in queries {
         reg.register(q).expect("family queries register");
     }
-    let mut plans: Vec<MaterializedPlan<WitnessesAnn>> = queries
+    reg
+}
+
+/// Drive one family through the whole stream on both stacks, asserting
+/// identical per-query deltas after every deletion. Returns the shared
+/// DAG's node count.
+fn assert_identical_deltas(queries: &[Query], db: &Database, seq: &[Tid]) -> usize {
+    let mut reg = registry_of(db, queries);
+    let mut singles: Vec<PlanRegistry<WitnessesAnn>> = queries
         .iter()
-        .map(|q| {
-            MaterializedPlan::<WitnessesAnn>::build_with(q, db, ParPool::sequential())
-                .expect("builds")
-        })
+        .map(|q| registry_of(db, std::slice::from_ref(q)))
         .collect();
     let shared_nodes = reg.node_count();
     for tid in seq {
         let deltas = reg.delete_sources(std::slice::from_ref(tid));
-        assert_eq!(deltas.len(), plans.len(), "one delta per registered query");
+        assert_eq!(
+            deltas.len(),
+            singles.len(),
+            "one delta per registered query"
+        );
         // `delete_sources` reports in registration order.
-        for ((id, shared), plan) in deltas.iter().zip(plans.iter_mut()) {
-            let independent = plan.delete_sources(std::slice::from_ref(tid));
+        for ((id, shared), single) in deltas.iter().zip(singles.iter_mut()) {
+            let independent = single.delete_sources(std::slice::from_ref(tid)).remove(0).1;
             assert_eq!(
                 shared.removed, independent.removed,
                 "removed rows diverged for {id} at {tid}"
@@ -102,7 +108,7 @@ fn assert_identical_deltas(queries: &[Query], db: &dap_relalg::Database, seq: &[
 
 fn main() {
     println!("==============================================================");
-    println!(" shared_registry — one shared DAG vs N independent plans");
+    println!(" shared_registry — one shared DAG vs N one-query registries");
     println!("==============================================================\n");
     let (users, groups, files) = SHAPE;
     println!(
@@ -117,7 +123,6 @@ fn main() {
     );
 
     let mut rows: Vec<SpeedupRow> = Vec::new();
-    let mut n1_overhead = f64::NAN;
     for n in NS {
         let (db, queries) = shared_query_family(n, users, groups, files);
         let seq = maintenance_deletion_sequence(&db, DELETIONS);
@@ -129,10 +134,7 @@ fn main() {
 
         // Shared: one registry serving all n queries, cloned per run so
         // every sample starts from the undeleted state.
-        let mut base_reg = PlanRegistry::<WitnessesAnn>::with_pool(&db, ParPool::sequential());
-        for q in &queries {
-            base_reg.register(q).expect("registers");
-        }
+        let base_reg = registry_of(&db, &queries);
         let fast = median_with_setup(
             RUNS,
             || base_reg.clone(),
@@ -143,31 +145,23 @@ fn main() {
             },
         );
 
-        // Independent: n separate maintained plans, each fed the stream.
-        let base_plans: Vec<MaterializedPlan<WitnessesAnn>> = queries
+        // Independent: n one-query registries, each fed the stream.
+        let base_singles: Vec<PlanRegistry<WitnessesAnn>> = queries
             .iter()
-            .map(|q| {
-                MaterializedPlan::<WitnessesAnn>::build_with(q, &db, ParPool::sequential())
-                    .expect("builds")
-            })
+            .map(|q| registry_of(&db, std::slice::from_ref(q)))
             .collect();
         let slow = median_with_setup(
             RUNS,
-            || base_plans.clone(),
-            |mut plans| {
+            || base_singles.clone(),
+            |mut singles| {
                 for tid in &seq {
-                    for plan in &mut plans {
-                        std::hint::black_box(plan.delete_sources(std::slice::from_ref(tid)));
+                    for single in &mut singles {
+                        std::hint::black_box(single.delete_sources(std::slice::from_ref(tid)));
                     }
                 }
             },
         );
 
-        if n == 1 {
-            // Sharing overhead at N=1: the registry against the bare plan
-            // it wraps (same stream, same pool).
-            n1_overhead = fast.as_secs_f64() / slow.as_secs_f64().max(f64::EPSILON);
-        }
         let speedup = speedup_ratio(slow, fast);
         println!(
             "{:>8} {:>8} {:>16?} {:>16?} {:>9.1}x",
@@ -187,28 +181,16 @@ fn main() {
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
-    json.push_str(&format!(
-        "  ],\n  \"n1_overhead_vs_bare_plan\": {n1_overhead:.3},\n  \
-         \"n16_speedup\": {n16:.2}\n}}\n"
-    ));
+    json.push_str(&format!("  ],\n  \"n16_speedup\": {n16:.2}\n}}\n"));
     std::fs::write("BENCH_shared.json", &json).expect("write BENCH_shared.json");
     println!("\nwrote BENCH_shared.json");
 
     if std::env::var_os("DAP_BENCH_NO_ASSERT").is_none() {
         assert!(
             n16 >= 4.0,
-            "shared registry must be >=4x faster than 16 independent plans \
-             (measured {n16:.1}x)"
-        );
-        assert!(
-            n1_overhead <= 1.10,
-            "sharing overhead at N=1 must stay within 10% of a bare \
-             MaterializedPlan (measured {:.1}%)",
-            (n1_overhead - 1.0) * 100.0
+            "shared registry must be >=4x faster than 16 independent \
+             registries (measured {n16:.1}x)"
         );
     }
-    println!(
-        "acceptance: {n16:.1}x at N=16 (bar: 4x); N=1 overhead {:+.1}% (bar: +10%)",
-        (n1_overhead - 1.0) * 100.0
-    );
+    println!("acceptance: {n16:.1}x at N=16 (bar: 4x)");
 }

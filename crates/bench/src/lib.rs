@@ -284,7 +284,7 @@ pub fn generic_placement_workload(users: usize, groups: usize, files: usize) -> 
 /// serving shape where all the scan/join/project work is common and only
 /// a cheap select top differs per subscriber. A `PlanRegistry`
 /// materializes (and maintains) the core once for the whole family, while
-/// `n` independent `MaterializedPlan`s redo it `n` times; `report_shared`
+/// `n` independent one-query registries redo it `n` times; `report_shared`
 /// measures exactly that gap.
 pub fn shared_query_family(
     n: usize,

@@ -1,38 +1,43 @@
 //! One materialization of `(Q, S)` serving many deletion targets — and,
-//! since the context owns a **maintained** annotated plan, surviving the
+//! since the context's annotated view is **maintained**, surviving the
 //! deletions it recommends.
 //!
 //! Every deletion solver needs the why-provenance of the view — and before
 //! this module each per-target entry point recomputed it from scratch.
-//! [`DeletionContext`] builds the materialized pipeline
-//! ([`MaterializedPlan<WitnessesAnn>`]) **once**, derives the
-//! why-provenance and the tuple-id → view-tuple *touch skeleton* of the
-//! witness hypergraph from it, and then stamps out per-target
+//! [`DeletionContext`] registers its query in a
+//! [`PlanRegistry<WitnessesAnn>`] **once**, derives the why-provenance and
+//! the tuple-id → view-tuple *touch skeleton* of the witness hypergraph
+//! from the registered view, and then stamps out per-target
 //! [`DeletionInstance`]s ([`DeletionContext::for_target`]) and
 //! frontier-restricted [`WitnessIndex`]es ([`DeletionContext::index_for`])
 //! in time proportional to the target's neighborhood, not the view.
 //!
-//! The plan is what turns the context from a per-query calculator into a
-//! serving loop: after a solver commits a deletion,
-//! [`DeletionContext::apply_delete`] pushes it through the pipeline in
-//! `O(affected)`, patches the why-provenance and the touch skeleton from
-//! the returned [`ViewDelta`], and the next target is solved against the
-//! *updated* view — no re-evaluation, no context rebuild.
-//! [`DeletionContext::resolve_after_delete`] packages one turn of that
-//! apply-and-re-solve loop; the batched
+//! The registry is what turns the context from a per-query calculator into
+//! a serving loop: after a solver commits a deletion, the context pushes it
+//! through the registry in `O(affected)`, patches the why-provenance and
+//! the touch skeleton from the returned [`ViewDelta`], and the next target
+//! is solved against the *updated* view — no re-evaluation, no context
+//! rebuild. [`DeletionContext::resolve_after_delete`] packages one turn of
+//! that apply-and-re-solve loop; the batched
 //! `delete_min_view_side_effects_apply_many` /
 //! `delete_min_source_apply_many` dispatchers in [`crate::dichotomy`] run
 //! it over whole target lists.
 //!
-//! A context can also be served from a **shared-plan registry**
-//! ([`DeletionContext::new_in_registry`]): instead of owning a private
-//! [`MaterializedPlan`], the context registers its query in a
-//! [`PlanRegistry`] — α-equivalent operator subtrees are shared with every
-//! other registered query, and one registry `delete_sources` push maintains
-//! them all. The context subscribes to its query's delta stream;
-//! [`DeletionContext::apply_delete_in`] commits through the registry and
-//! [`DeletionContext::sync_in`] drains deltas other contexts committed, so
-//! any number of serving loops stay coherent over one shared DAG.
+//! The registry is either the context's own or shared:
+//!
+//! * [`DeletionContext::new`] builds a private one-query registry, and
+//!   [`DeletionContext::apply_delete`] commits through it;
+//! * [`DeletionContext::new_in_registry`] registers the query in a
+//!   caller's [`PlanRegistry`] — α-equivalent operator subtrees are shared
+//!   with every other registered query, and one registry `delete_sources`
+//!   push maintains them all. [`DeletionContext::apply_delete_in`] commits
+//!   through the registry and [`DeletionContext::sync_in`] drains deltas
+//!   other contexts committed, so any number of serving loops stay
+//!   coherent over one shared DAG.
+//!
+//! Both kinds commit the same way: `apply_delete` is `apply_delete_in` on
+//! the private registry, and every context patches itself from its
+//! query's subscription stream.
 //!
 //! The solver entry points live here as methods
 //! ([`DeletionContext::min_view_side_effects`],
@@ -48,10 +53,7 @@ use crate::deletion::view_side_effect::ExactOptions;
 use crate::deletion::{Deletion, DeletionInstance};
 use crate::error::{CoreError, Result};
 use dap_provenance::{WhyProvenance, Witness, WitnessesAnn};
-use dap_relalg::{
-    Database, MaterializedPlan, ParPool, PlanRegistry, Query, QueryId, Schema, Tid, Tuple,
-    ViewDelta,
-};
+use dap_relalg::{Database, ParPool, PlanRegistry, Query, QueryId, Schema, Tid, Tuple, ViewDelta};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -60,20 +62,6 @@ use std::sync::Arc;
 /// repeat targets; prevents one-pass sweeps over huge views from
 /// accumulating an index per view tuple.
 const MAX_CACHED_INDEXES: usize = 256;
-
-/// Where a context's maintained annotated view lives: a private
-/// [`MaterializedPlan`], or one registered query inside a shared
-/// [`PlanRegistry`] whose deltas arrive through the subscription outbox.
-#[derive(Clone, Debug)]
-enum PlanBackend {
-    /// The context owns its pipeline; [`DeletionContext::apply_delete`]
-    /// pushes deltas directly.
-    Owned(MaterializedPlan<WitnessesAnn>),
-    /// The pipeline is shared: the context holds its registered query's id
-    /// and commits through [`DeletionContext::apply_delete_in`] /
-    /// [`DeletionContext::sync_in`] against the registry.
-    Registry(QueryId),
-}
 
 /// The view skeleton every context derives from its annotated view at
 /// build time: the why-provenance plus the inverted tid → view-tuple touch
@@ -88,9 +76,10 @@ struct Skeleton {
 }
 
 /// The shared substrate of all deletion problems over one `(Q, S)`: the
-/// maintained annotated plan, the why-provenance read off it, and the
-/// inverted skeleton used to cut per-target frontiers out of the
-/// hypergraph without rescanning the view.
+/// query's registration in the registry that maintains its annotated
+/// view, the why-provenance read off that view, and the inverted skeleton
+/// used to cut per-target frontiers out of the hypergraph without
+/// rescanning the view.
 ///
 /// Tuple ids always refer to the database the context was built over —
 /// applied deletions accumulate in [`DeletionContext::committed`] and never
@@ -99,10 +88,13 @@ struct Skeleton {
 pub struct DeletionContext {
     query: Arc<Query>,
     db: Arc<Database>,
-    /// The maintained pipeline — owned, or a query registered in a shared
-    /// [`PlanRegistry`]; either way `delete_sources` keeps the annotated
-    /// view (and hence everything below) current.
-    backend: PlanBackend,
+    /// The context's query in the registry whose `delete_sources` keeps
+    /// the annotated view (and hence everything below) current.
+    id: QueryId,
+    /// The private one-query registry [`DeletionContext::new`] builds;
+    /// `None` when the view lives in a caller's shared registry
+    /// ([`DeletionContext::new_in_registry`]).
+    own: Option<PlanRegistry<WitnessesAnn>>,
     why: Arc<WhyProvenance>,
     /// View tuples in why-provenance order (indexed by the skeleton).
     /// Slots are stable; deletions tombstone via `alive`.
@@ -133,8 +125,9 @@ pub struct DeletionContext {
 }
 
 impl DeletionContext {
-    /// Materialize the context; one annotated plan build plus one pass over
-    /// the witness lists, sharded over the process-default [`ParPool`].
+    /// Materialize the context over a private one-query registry: one
+    /// annotated build plus one pass over the witness lists, sharded over
+    /// the process-default [`ParPool`].
     pub fn new(query: &Query, db: &Database) -> Result<DeletionContext> {
         DeletionContext::new_shared(Arc::new(query.clone()), Arc::new(db.clone()))
     }
@@ -145,42 +138,29 @@ impl DeletionContext {
         DeletionContext::new_shared_with(Arc::new(query.clone()), Arc::new(db.clone()), pool)
     }
 
-    /// Like [`DeletionContext::new`], from shared handles (no deep clones).
+    /// Like [`DeletionContext::new`], from shared handles.
     pub fn new_shared(query: Arc<Query>, db: Arc<Database>) -> Result<DeletionContext> {
         DeletionContext::new_shared_with(query, db, ParPool::global())
     }
 
-    /// [`DeletionContext::new_shared`] with an explicit pool: the plan
-    /// build shards operator-by-operator, and the witness flattening that
-    /// feeds the why-provenance and the touch skeleton maps per view
-    /// tuple; skeleton assembly stays sequential, so the context is
-    /// identical for every pool size.
+    /// [`DeletionContext::new_shared`] with an explicit pool: the operator
+    /// builds shard row-by-row, and the witness flattening that feeds the
+    /// why-provenance and the touch skeleton maps per view tuple; skeleton
+    /// assembly stays sequential, so the context is identical for every
+    /// pool size.
     pub fn new_shared_with(
         query: Arc<Query>,
         db: Arc<Database>,
         pool: ParPool,
     ) -> Result<DeletionContext> {
-        let plan = MaterializedPlan::<WitnessesAnn>::build_with(&query, &db, pool)?;
-        let sk =
-            DeletionContext::build_skeleton(plan.schema().clone(), plan.iter().collect(), pool);
-        Ok(DeletionContext {
-            query,
-            db,
-            backend: PlanBackend::Owned(plan),
-            why: sk.why,
-            tuples: sk.tuples,
-            alive: sk.alive,
-            index_of: sk.index_of,
-            touch_of: sk.touch_of,
-            touching: sk.touching,
-            committed: BTreeSet::new(),
-            index_cache: HashMap::new(),
-            pool,
-        })
+        let mut reg = PlanRegistry::new_shared_with(db, pool);
+        let mut ctx = DeletionContext::registered(&mut reg, query)?;
+        ctx.own = Some(reg);
+        Ok(ctx)
     }
 
     /// Materialize a context **inside a shared-plan registry** instead of
-    /// over a private plan: registers `query` in `reg` (sharing every
+    /// over a private one: registers `query` in `reg` (sharing every
     /// α-equivalent operator subtree with the queries already there),
     /// subscribes to its delta stream, and reads the skeleton off the
     /// registered view. Deletions the registry already committed are
@@ -195,7 +175,16 @@ impl DeletionContext {
         reg: &mut PlanRegistry<WitnessesAnn>,
         query: &Query,
     ) -> Result<DeletionContext> {
-        let id = reg.register(query)?;
+        DeletionContext::registered(reg, Arc::new(query.clone()))
+    }
+
+    /// Register `query` in `reg`, subscribe to its delta stream, and read
+    /// the skeleton off the registered view.
+    fn registered(
+        reg: &mut PlanRegistry<WitnessesAnn>,
+        query: Arc<Query>,
+    ) -> Result<DeletionContext> {
+        let id = reg.register(&query)?;
         reg.subscribe(id);
         let sk = DeletionContext::build_skeleton(
             reg.query_schema(id).clone(),
@@ -203,9 +192,10 @@ impl DeletionContext {
             reg.pool(),
         );
         Ok(DeletionContext {
-            query: Arc::new(query.clone()),
+            query,
             db: reg.db().clone(),
-            backend: PlanBackend::Registry(id),
+            id,
+            own: None,
             why: sk.why,
             tuples: sk.tuples,
             alive: sk.alive,
@@ -290,24 +280,11 @@ impl DeletionContext {
         &self.why
     }
 
-    /// The maintained annotated view itself, when the context owns it.
-    /// `None` for a registry-backed context — the view lives in the shared
-    /// [`PlanRegistry`] (read it there via
-    /// [`DeletionContext::registry_query`]).
-    pub fn plan(&self) -> Option<&MaterializedPlan<WitnessesAnn>> {
-        match &self.backend {
-            PlanBackend::Owned(plan) => Some(plan),
-            PlanBackend::Registry(_) => None,
-        }
-    }
-
-    /// The id this context's query is registered under in its shared
-    /// [`PlanRegistry`]; `None` when the context owns its plan.
+    /// The id this context's query is registered under in a caller's
+    /// shared [`PlanRegistry`]; `None` when the context owns its private
+    /// registry (the registration lives and dies with the context).
     pub fn registry_query(&self) -> Option<QueryId> {
-        match self.backend {
-            PlanBackend::Registry(id) => Some(id),
-            PlanBackend::Owned(_) => None,
-        }
+        self.own.is_none().then_some(self.id)
     }
 
     /// Every source tuple deleted through this context so far.
@@ -336,38 +313,26 @@ impl DeletionContext {
         self.why.len()
     }
 
-    /// Commit a source deletion: push it through the maintained plan
-    /// (`O(affected)`), then patch the why-provenance and the touch
-    /// skeleton from the resulting [`ViewDelta`]. View tuples whose last
-    /// witness died disappear; tuples whose basis changed (it can *grow* —
-    /// a deletion may un-absorb a previously non-minimal witness) get
-    /// their new basis and any new skeleton edges. Unknown or already
+    /// Commit a source deletion: push it through the context's private
+    /// registry (`O(affected)`), then patch the why-provenance and the
+    /// touch skeleton from the resulting [`ViewDelta`]. View tuples whose
+    /// last witness died disappear; tuples whose basis changed (it can
+    /// *grow* — a deletion may un-absorb a previously non-minimal witness)
+    /// get their new basis and any new skeleton edges. Unknown or already
     /// deleted tids are no-ops. Returns the view delta.
     ///
     /// # Panics
     ///
-    /// On a registry-backed context — the shared plan lives in the
+    /// On a registry-backed context — the view lives in the caller's
     /// registry, so commits must go through
     /// [`DeletionContext::apply_delete_in`].
     pub fn apply_delete(&mut self, tids: &BTreeSet<Tid>) -> ViewDelta {
-        let tid_vec: Vec<Tid> = tids.iter().cloned().collect();
-        let PlanBackend::Owned(plan) = &mut self.backend else {
-            panic!("apply_delete on a registry-backed context; use apply_delete_in");
-        };
-        let delta = plan.delete_sources(&tid_vec);
-        let changed_ws: Vec<Option<Vec<Witness>>> = delta
-            .changed
-            .iter()
-            .map(|t| {
-                Some(
-                    plan.annotation_of(t)
-                        .expect("changed tuples survive the deletion")
-                        .0
-                        .clone(),
-                )
-            })
-            .collect();
-        self.patch_view(tids, &delta, changed_ws);
+        let mut reg = self
+            .own
+            .take()
+            .expect("apply_delete on a registry-backed context; use apply_delete_in");
+        let delta = self.apply_delete_in(&mut reg, tids);
+        self.own = Some(reg);
         delta
     }
 
@@ -379,7 +344,8 @@ impl DeletionContext {
     ///
     /// # Panics
     ///
-    /// On an owned-plan context — use [`DeletionContext::apply_delete`].
+    /// On a context that owns its registry — use
+    /// [`DeletionContext::apply_delete`].
     pub fn apply_delete_in(
         &mut self,
         reg: &mut PlanRegistry<WitnessesAnn>,
@@ -387,7 +353,7 @@ impl DeletionContext {
     ) -> ViewDelta {
         let id = self
             .registry_query()
-            .expect("apply_delete_in on an owned-plan context; use apply_delete");
+            .expect("apply_delete_in on a context that owns its registry; use apply_delete");
         let tid_vec: Vec<Tid> = tids.iter().cloned().collect();
         let mut own = ViewDelta::default();
         for (q, d) in reg.delete_sources(&tid_vec) {
@@ -410,11 +376,12 @@ impl DeletionContext {
     ///
     /// # Panics
     ///
-    /// On an owned-plan context — there is no registry stream to drain.
+    /// On a context that owns its registry — nothing else commits to it,
+    /// so there is nothing to drain.
     pub fn sync_in(&mut self, reg: &mut PlanRegistry<WitnessesAnn>) {
         let id = self
             .registry_query()
-            .expect("sync_in on an owned-plan context; nothing to drain");
+            .expect("sync_in on a context that owns its registry; nothing to drain");
         for (tids, delta) in reg.drain_pending(id) {
             let tid_set: BTreeSet<Tid> = tids.into_iter().collect();
             // Bases are read at their *final* value: a tuple re-based by
@@ -429,12 +396,12 @@ impl DeletionContext {
         }
     }
 
-    /// The backend-independent half of a commit: patch the why-provenance,
+    /// The context half of a commit: patch the why-provenance,
     /// liveness, and touch skeleton from one [`ViewDelta`], fold `tids`
     /// into [`DeletionContext::committed`], and carry the cached indexes
     /// across. `changed_ws` holds the post-deletion witness basis for each
     /// entry of `delta.changed` in order (`None` = the tuple is already
-    /// dead in the backend — a later pending delta removes it — so its
+    /// dead in the registry — a later pending delta removes it — so its
     /// basis patch is skipped).
     fn patch_view(
         &mut self,
@@ -794,7 +761,7 @@ mod tests {
         let mut owned = DeletionContext::new(&q, &db).unwrap();
         let mut reg = PlanRegistry::<WitnessesAnn>::new(&db);
         let mut shared = DeletionContext::new_in_registry(&mut reg, &q).unwrap();
-        assert!(shared.plan().is_none());
+        assert!(owned.registry_query().is_none());
         assert!(shared.registry_query().is_some());
         assert_eq!(shared.view_len(), owned.view_len());
         for step in [

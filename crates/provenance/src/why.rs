@@ -65,7 +65,7 @@ impl WhyProvenance {
     }
 
     /// Assemble from precomputed `(tuple, minimal witnesses)` rows — the
-    /// path a maintained `MaterializedPlan<WitnessesAnn>` uses to expose
+    /// path a maintained `PlanRegistry<WitnessesAnn>` view uses to expose
     /// its current output as a [`WhyProvenance`] without re-evaluating.
     pub fn from_parts(
         schema: Schema,

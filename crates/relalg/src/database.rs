@@ -8,6 +8,7 @@ use crate::schema::Schema;
 use crate::tuple::Tuple;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// A stable identifier for one source tuple: relation name plus the row index
 /// within that relation's sorted instance. Deleting a set of `Tid`s from a
@@ -46,9 +47,14 @@ impl fmt::Debug for Tid {
 pub type Catalog = BTreeMap<RelName, Schema>;
 
 /// A database instance: a set of named relations.
+///
+/// Relations are immutable once added and held behind one [`Arc`] each,
+/// so cloning a database (a registry or deletion context taking its own
+/// handle, a snapshot, [`Database::without`] for the relations it leaves
+/// untouched) shares tuple storage instead of copying it.
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct Database {
-    rels: BTreeMap<RelName, Relation>,
+    rels: BTreeMap<RelName, Arc<Relation>>,
 }
 
 impl Database {
@@ -73,25 +79,24 @@ impl Database {
                 attr: rel.name().as_str().into(),
             });
         }
-        self.rels.insert(rel.name().clone(), rel);
+        self.rels.insert(rel.name().clone(), Arc::new(rel));
         Ok(())
     }
 
     /// Look up a relation by name.
     pub fn get(&self, name: &str) -> Option<&Relation> {
-        self.rels.get(name)
+        self.rels.get(name).map(|r| &**r)
     }
 
     /// Look up a relation, erroring like the evaluator does.
     pub fn require(&self, name: &RelName) -> Result<&Relation> {
-        self.rels
-            .get(name)
+        self.get(name.as_str())
             .ok_or_else(|| RelalgError::UnknownRelation { rel: name.clone() })
     }
 
     /// All relations in name order.
     pub fn relations(&self) -> impl Iterator<Item = &Relation> {
-        self.rels.values()
+        self.rels.values().map(|r| &**r)
     }
 
     /// Number of relations.
@@ -101,7 +106,7 @@ impl Database {
 
     /// Total number of tuples across all relations (the paper's `|S|`).
     pub fn tuple_count(&self) -> usize {
-        self.rels.values().map(Relation::len).sum()
+        self.relations().map(Relation::len).sum()
     }
 
     /// The schema catalog for type checking.
@@ -192,7 +197,8 @@ impl Database {
 
     /// The paper's `S \ T`: a copy of the database with the tuples named by
     /// `deletions` removed. Tids refer to *this* instance; the result
-    /// re-packs row indices.
+    /// re-packs row indices. Relations without deletions are shared with
+    /// `self`, not copied.
     pub fn without(&self, deletions: &BTreeSet<Tid>) -> Database {
         let mut by_rel: BTreeMap<&RelName, BTreeSet<usize>> = BTreeMap::new();
         for tid in deletions {
@@ -203,8 +209,8 @@ impl Database {
             .iter()
             .map(|(n, r)| {
                 let rel = match by_rel.get(n) {
-                    Some(rows) => r.without_rows(rows),
-                    None => r.clone(),
+                    Some(rows) => Arc::new(r.without_rows(rows)),
+                    None => Arc::clone(r),
                 };
                 (n.clone(), rel)
             })
@@ -300,6 +306,26 @@ mod tests {
         assert!(!out.get("R1").unwrap().contains(&tuple(["a", "x1"])));
         // original untouched
         assert_eq!(db.tuple_count(), 3);
+    }
+
+    #[test]
+    fn clones_share_relation_storage() {
+        let db = db();
+        let copy = db.clone();
+        for (a, b) in db.relations().zip(copy.relations()) {
+            assert!(std::ptr::eq(a.tuples(), b.tuples()), "{}", a.name());
+        }
+        // `without` copies only the relations it deletes from.
+        let t = db.tid_of("R1", &tuple(["a", "x1"])).unwrap();
+        let out = db.without(&BTreeSet::from([t]));
+        assert!(!std::ptr::eq(
+            db.get("R1").unwrap().tuples(),
+            out.get("R1").unwrap().tuples()
+        ));
+        assert!(std::ptr::eq(
+            db.get("R2").unwrap().tuples(),
+            out.get("R2").unwrap().tuples()
+        ));
     }
 
     #[test]

@@ -29,16 +29,19 @@
 //! combine on indices. Join probe keys are borrowed `&Value` slices — no
 //! value clones on the hash path. The result is sorted once, at the root.
 //!
-//! The walk itself lives in [`crate::plan`]: [`eval_annotated`] is exactly
-//! "build a [`crate::plan::MaterializedPlan`], read its output". Callers
-//! that will re-ask the same `(Q, S)` after source deletions should keep
-//! the plan instead — its `delete_sources` maintains this module's
-//! [`Annotated`] view incrementally.
+//! The walk itself is the maintained-view engine's build pass:
+//! [`eval_annotated`] registers `Q` in a one-query
+//! [`crate::registry::PlanRegistry`] (whose per-operator kernels live in
+//! [`crate::plan`]) and consumes the root. Callers that will re-ask the
+//! same `(Q, S)` after source deletions should keep the registry instead —
+//! its `delete_sources` maintains this module's [`Annotated`] view
+//! incrementally. [`crate::eval::eval`] stays an independent tree walk:
+//! it is the reference the engine is differentially tested against.
 
 use crate::database::{Database, Tid};
 use crate::error::Result;
-use crate::plan::MaterializedPlan;
 use crate::query::Query;
+use crate::registry::PlanRegistry;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 
@@ -76,14 +79,14 @@ impl JoinLayout {
 /// * `project` composes: reordering twice equals reordering once by the
 ///   composed position map.
 ///
-/// The `PartialEq` bound is what lets [`crate::plan::MaterializedPlan`]
+/// The `PartialEq` bound is what lets [`crate::registry::PlanRegistry`]
 /// stop a deletion's ripple early: a recomputed bucket annotation that
 /// compares equal to the old one is not propagated further. For that test
 /// to be sharp (never for correctness), [`Annotation::normalize`] should
 /// produce a canonical form — all five shipped instances do.
 ///
-/// The `Send + Sync` bounds let [`crate::plan::MaterializedPlan::build_with`]
-/// shard scans, join probes, and ⊕-bucket normalization across a
+/// The `Send + Sync` bounds let the registry shard scans, join probes,
+/// ⊕-bucket normalization and its level-parallel delta push across a
 /// [`crate::par::ParPool`]; every shipped carrier is plain owned data, so
 /// the bounds are satisfied automatically.
 pub trait Annotation: Clone + PartialEq + Send + Sync {
@@ -177,8 +180,8 @@ impl<A> Annotated<A> {
         (self.schema, self.tuples, self.annots)
     }
 
-    /// Assemble from already-sorted parallel vectors (the materialized
-    /// plan's output path).
+    /// Assemble from already-sorted parallel vectors (the registry's
+    /// output path).
     pub(crate) fn from_sorted_parts(schema: Schema, tuples: Vec<Tuple>, annots: Vec<A>) -> Self {
         debug_assert!(tuples.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
         debug_assert_eq!(tuples.len(), annots.len());
@@ -192,10 +195,14 @@ impl<A> Annotated<A> {
 
 /// Evaluate `q` on `db`, carrying an `A` annotation per output tuple.
 /// One operator-tree build regardless of the annotation semantics: this is
-/// "build a [`MaterializedPlan`], read its output". Keep the plan itself
-/// when the same `(Q, S)` will be re-asked under source deletions.
+/// "register `q` in a one-query [`PlanRegistry`], consume its view" (the
+/// registry shares `db`'s relations, it does not copy them). Keep the
+/// registry itself when the same `(Q, S)` will be re-asked under source
+/// deletions.
 pub fn eval_annotated<A: Annotation>(q: &Query, db: &Database) -> Result<Annotated<A>> {
-    Ok(MaterializedPlan::build(q, db)?.into_annotated())
+    let mut reg = PlanRegistry::new(db);
+    let id = reg.register(q)?;
+    Ok(reg.into_annotated(id))
 }
 
 #[cfg(test)]

@@ -7,13 +7,14 @@
 
 use crate::database::Database;
 use crate::error::Result;
+use crate::fingerprint::{Bucket, FpMap, LayoutMode};
 use crate::name::Attr;
 use crate::query::Query;
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::typecheck::output_schema;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// A materialized query result: an anonymous relation (schema + sorted tuple
 /// set).
@@ -157,50 +158,29 @@ pub(crate) fn hash_join(l: &ResultSet, r: &ResultSet) -> ResultSet {
         .collect();
 
     // Build the hash table on the right side, probe with the left, so output
-    // construction (left ++ right-extras) stays simple.
-    let mode = crate::fingerprint::LayoutMode::current();
+    // construction (left ++ right-extras) stays simple. Fingerprinted keys:
+    // no per-row key allocation, identity hash. Candidates sharing a
+    // fingerprint are verified against the actual key values (an integer
+    // compare per attribute under interning).
+    let mode = LayoutMode::current();
+    let mut table: FpMap<Bucket<&Tuple>> =
+        FpMap::with_capacity_and_hasher(r.tuples.len(), Default::default());
+    for t in &r.tuples {
+        table
+            .entry(mode.key_fp(t, &r_keys))
+            .and_modify(|b| b.push(t))
+            .or_insert(Bucket::One(t));
+    }
     let mut out = BTreeSet::new();
-    if mode.is_legacy() {
-        // Pre-interning layout: allocated borrowed-slice keys under
-        // SipHash over the key *content* (string bytes, not ids).
-        use crate::fingerprint::ContentKey;
-        fn key_of<'a>(t: &'a Tuple, keys: &[usize]) -> ContentKey<'a> {
-            ContentKey(keys.iter().map(|&i| t.get(i)).collect())
-        }
-        let mut table: HashMap<ContentKey, Vec<&Tuple>> = HashMap::with_capacity(r.tuples.len());
-        for t in &r.tuples {
-            table.entry(key_of(t, &r_keys)).or_default().push(t);
-        }
-        for lt in &l.tuples {
-            if let Some(matches) = table.get(&key_of(lt, &l_keys)) {
-                for rt in matches {
+    for lt in &l.tuples {
+        if let Some(matches) = table.get(&mode.key_fp(lt, &l_keys)) {
+            for rt in matches.as_slice() {
+                let keys_match = l_keys
+                    .iter()
+                    .zip(&r_keys)
+                    .all(|(&lk, &rk)| lt.get(lk) == rt.get(rk));
+                if keys_match {
                     out.insert(lt.join_concat(rt, &r_extra));
-                }
-            }
-        }
-    } else {
-        // Fingerprinted keys: no per-row key allocation, identity hash.
-        // Candidates sharing a fingerprint are verified against the actual
-        // key values (an integer compare per attribute under interning).
-        use crate::fingerprint::Bucket;
-        let mut table: crate::fingerprint::FpMap<Bucket<&Tuple>> =
-            crate::fingerprint::FpMap::with_capacity_and_hasher(r.tuples.len(), Default::default());
-        for t in &r.tuples {
-            table
-                .entry(mode.key_fp(t, &r_keys))
-                .and_modify(|b| b.push(t))
-                .or_insert(Bucket::One(t));
-        }
-        for lt in &l.tuples {
-            if let Some(matches) = table.get(&mode.key_fp(lt, &l_keys)) {
-                for rt in matches.as_slice() {
-                    let keys_match = l_keys
-                        .iter()
-                        .zip(&r_keys)
-                        .all(|(&lk, &rk)| lt.get(lk) == rt.get(rk));
-                    if keys_match {
-                        out.insert(lt.join_concat(rt, &r_extra));
-                    }
                 }
             }
         }

@@ -7,8 +7,8 @@
 //! `u64` *word* (tag bits + int bits / bool / dictionary id), and a key —
 //! any ordered slice of tuple positions — folds into a single mixed `u64`
 //! **fingerprint**. The join build/probe in [`crate::plan`] and
-//! [`mod@crate::eval`], the ⊕-bucket and `root_index` maps, and the registry's
-//! per-root taps all key on fingerprints through an identity-hash map
+//! [`mod@crate::eval`], the ⊕-bucket slot maps, and the registry's per-root
+//! taps all key on fingerprints through an identity-hash map
 //! ([`FpMap`]): no per-row allocation, no byte-walking hash, one integer
 //! compare per lookup. Fingerprints can collide, so every consumer keeps a
 //! collision-checked fallback: candidates that share a fingerprint are
@@ -17,85 +17,48 @@
 //!
 //! ## Layout modes
 //!
-//! [`LayoutMode`] selects the layout per *structure*, snapshotted at
-//! construction so a table is never built under one mode and probed under
-//! another:
+//! [`LayoutMode`] is snapshotted per *structure* at construction, so a
+//! table is never built under one mode and probed under another:
 //!
-//! * [`LayoutMode::Fingerprint`] — the default described above.
-//! * [`LayoutMode::Legacy`] — the pre-interning layout (`Vec<&Value>` keys
-//!   under SipHash, content-addressed tuple maps), kept as the honest
-//!   baseline for `report_hotpath` and the differential layout tests.
+//! * [`LayoutMode::Fingerprint`] — the layout described above, and the
+//!   only one production code runs.
 //! * [`LayoutMode::Collide`] — every fingerprint is the same constant, so
 //!   *all* keys collide and the fallback path carries the entire workload.
-//!   Test-only: correctness under `Collide` proves the collision handling
-//!   is complete.
-//!
-//! The process default comes from `DAP_LAYOUT`
-//! (`fingerprint`/`legacy`/`collide`, unset ⇒ fingerprint); tests and the
-//! bench harness override it at runtime with [`force_layout`]. Every mode
-//! produces **bit-identical results** — the mode moves constants, never
-//! output.
+//!   A test hook switched on with [`force_layout`]: correctness under
+//!   `Collide` proves the collision handling is complete. Both modes
+//!   produce **bit-identical results** — the mode moves constants, never
+//!   output.
 
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::sync::OnceLock;
 
-/// Which hot-path data layout the structure under construction uses. See
-/// the module docs; snapshot it once per structure with
-/// [`LayoutMode::current`].
+/// Which key layout the structure under construction uses. See the module
+/// docs; snapshot it once per structure with [`LayoutMode::current`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LayoutMode {
     /// Fingerprinted keys over interned ids (the default).
     Fingerprint,
-    /// The pre-interning layout: allocated `Vec<&Value>` keys, SipHash,
-    /// content-addressed tuple maps. Baseline for benches and tests.
-    Legacy,
     /// Fingerprinting with every fingerprint forced equal — exercises the
     /// collision-checked fallback end to end (test-only).
     Collide,
 }
 
-/// Runtime override slot: 0 = none (use the env default), else mode + 1.
-static FORCED: AtomicU8 = AtomicU8::new(0);
-
-fn env_default() -> LayoutMode {
-    static DEFAULT: OnceLock<LayoutMode> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("DAP_LAYOUT") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "" | "fingerprint" | "fp" => LayoutMode::Fingerprint,
-            "legacy" => LayoutMode::Legacy,
-            "collide" => LayoutMode::Collide,
-            _ => {
-                eprintln!(
-                    "warning: ignoring unparsable DAP_LAYOUT={v:?} \
-                     (expected fingerprint|legacy|collide; using fingerprint)"
-                );
-                LayoutMode::Fingerprint
-            }
-        },
-        Err(_) => LayoutMode::Fingerprint,
-    })
-}
+/// Set while [`force_layout`] holds the process in [`LayoutMode::Collide`].
+static COLLIDE: AtomicBool = AtomicBool::new(false);
 
 impl LayoutMode {
-    /// The mode new structures should be built with: the [`force_layout`]
-    /// override if set, else the `DAP_LAYOUT` environment default.
+    /// The mode new structures should be built with: [`LayoutMode::Collide`]
+    /// while [`force_layout`] forces it, else [`LayoutMode::Fingerprint`].
     pub fn current() -> LayoutMode {
-        match FORCED.load(Ordering::Relaxed) {
-            1 => LayoutMode::Fingerprint,
-            2 => LayoutMode::Legacy,
-            3 => LayoutMode::Collide,
-            _ => env_default(),
+        if COLLIDE.load(Ordering::Relaxed) {
+            LayoutMode::Collide
+        } else {
+            LayoutMode::Fingerprint
         }
-    }
-
-    /// Whether this mode keys tables the pre-interning way.
-    pub fn is_legacy(self) -> bool {
-        matches!(self, LayoutMode::Legacy)
     }
 
     /// Fingerprint of the key formed by `positions` of `t`. Under
@@ -103,7 +66,7 @@ impl LayoutMode {
     pub fn key_fp(self, t: &Tuple, positions: &[usize]) -> u64 {
         match self {
             LayoutMode::Collide => COLLIDE_FP,
-            _ => fp_of(positions.iter().map(|&i| t.get(i))),
+            LayoutMode::Fingerprint => fp_of(positions.iter().map(|&i| t.get(i))),
         }
     }
 
@@ -111,25 +74,18 @@ impl LayoutMode {
     pub fn tuple_fp(self, t: &Tuple) -> u64 {
         match self {
             LayoutMode::Collide => COLLIDE_FP,
-            _ => fp_of(t.values().iter()),
+            LayoutMode::Fingerprint => fp_of(t.values().iter()),
         }
     }
 }
 
-/// Force every subsequently *constructed* structure into `mode` (pass
-/// `None` to return to the `DAP_LAYOUT` default). Existing structures are
-/// unaffected — each snapshots its mode at construction — so flipping the
-/// override mid-flight is safe; it only changes what gets built next.
-/// Process-global: intended for differential tests and the bench harness,
-/// not for production configuration (use `DAP_LAYOUT` there).
+/// Force every subsequently *constructed* structure into `mode` (`None`
+/// restores the fingerprint default). Existing structures are unaffected —
+/// each snapshots its mode at construction — so flipping the override
+/// mid-flight is safe; it only changes what gets built next.
+/// Process-global: a hook for differential tests, not a configuration.
 pub fn force_layout(mode: Option<LayoutMode>) {
-    let v = match mode {
-        None => 0,
-        Some(LayoutMode::Fingerprint) => 1,
-        Some(LayoutMode::Legacy) => 2,
-        Some(LayoutMode::Collide) => 3,
-    };
-    FORCED.store(v, Ordering::Relaxed);
+    COLLIDE.store(mode == Some(LayoutMode::Collide), Ordering::Relaxed);
 }
 
 /// The constant all fingerprints collapse to under [`LayoutMode::Collide`].
@@ -196,38 +152,6 @@ impl Hasher for FpHasher {
 /// A hash map keyed by pre-mixed `u64` fingerprints (identity hash).
 pub type FpMap<V> = HashMap<u64, V, BuildHasherDefault<FpHasher>>;
 
-/// The seed's join-key representation, kept as the legacy baseline: one
-/// allocated `Vec<&Value>` per row, hashed by **content** (string bytes,
-/// not dictionary ids) the way the pre-interning `Value` hashed. Interning
-/// changed `Value`'s own `Hash` to the cheap id form, so reproducing the
-/// old cost model needs this explicit wrapper — without it the legacy
-/// baseline would silently inherit the very optimization it exists to
-/// measure against. Equality stays `Value` equality (ids), which is
-/// hash-consistent: under a global dictionary, equal ids ⇔ equal content.
-#[derive(PartialEq, Eq)]
-pub(crate) struct ContentKey<'a>(pub(crate) Vec<&'a Value>);
-
-impl std::hash::Hash for ContentKey<'_> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for v in &self.0 {
-            match v {
-                Value::Bool(b) => {
-                    0u8.hash(state);
-                    b.hash(state);
-                }
-                Value::Int(i) => {
-                    1u8.hash(state);
-                    i.hash(state);
-                }
-                Value::Str(s) => {
-                    2u8.hash(state);
-                    s.as_str().hash(state);
-                }
-            }
-        }
-    }
-}
-
 /// Values sharing one fingerprint: almost always exactly one, a spilled
 /// list only on a genuine collision (or under [`LayoutMode::Collide`]).
 /// Keeping the single-entry case inline means a fingerprint table of
@@ -260,24 +184,10 @@ impl<T: Copy> Bucket<T> {
 /// Slots sharing one fingerprint (see [`Bucket`]).
 pub(crate) type SlotEntry = Bucket<usize>;
 
-/// SipHash over the tuple's value *content* (string bytes, not interned
-/// ids) — the per-operation hashing cost of the seed's
-/// `HashMap<Arc<Tuple>, usize>` slot maps before interning. The legacy
-/// layout keys on this so benchmarks against it measure the layout the
-/// overhaul replaced, not one that silently inherits cheap id hashing.
-pub(crate) fn content_fp(t: &Tuple) -> u64 {
-    use std::hash::{Hash as _, Hasher as _};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    ContentKey(t.values().iter().collect()).hash(&mut h);
-    h.finish()
-}
-
-/// A tuple → slot index keyed on 64-bit key digests with
-/// collision-checked fallback: interned fingerprints ([`fp_of`]) in the
-/// fingerprint layouts, content SipHash ([`content_fp`]) in
-/// [`LayoutMode::Legacy`]. Lookups resolve candidate slots against the
-/// caller's tuple column — the map itself stores no tuple handles, which
-/// also makes clears cheap.
+/// A tuple → slot index keyed on whole-tuple fingerprints ([`fp_of`])
+/// with collision-checked fallback. Lookups resolve candidate slots
+/// against the caller's tuple column — the map itself stores no tuple
+/// handles, which also makes clears cheap.
 #[derive(Clone, Debug)]
 pub(crate) struct TupleSlotMap {
     mode: LayoutMode,
@@ -293,20 +203,12 @@ impl TupleSlotMap {
         }
     }
 
-    fn digest(&self, t: &Tuple) -> u64 {
-        if self.mode.is_legacy() {
-            content_fp(t)
-        } else {
-            self.mode.tuple_fp(t)
-        }
-    }
-
     /// Record that `t` lives at `slot`. The caller must not insert the
     /// same tuple twice (slot maps are built over distinct tuples; use
     /// [`TupleSlotMap::get`] first for get-or-insert flows).
     pub(crate) fn insert(&mut self, t: &Arc<Tuple>, slot: usize) {
         self.map
-            .entry(self.digest(t))
+            .entry(self.mode.tuple_fp(t))
             .and_modify(|b| b.push(slot))
             .or_insert(SlotEntry::One(slot));
     }
@@ -315,17 +217,11 @@ impl TupleSlotMap {
     /// candidates are verified against.
     pub(crate) fn get(&self, t: &Tuple, tuples: &[Arc<Tuple>]) -> Option<usize> {
         self.map
-            .get(&self.digest(t))?
+            .get(&self.mode.tuple_fp(t))?
             .as_slice()
             .iter()
             .copied()
             .find(|&s| *tuples[s] == *t)
-    }
-
-    /// Drop all entries but keep the allocation (steady-state reuse on
-    /// the delta path).
-    pub(crate) fn clear(&mut self) {
-        self.map.clear();
     }
 }
 
@@ -393,11 +289,7 @@ mod tests {
         let tuples: Vec<Arc<Tuple>> = (0..64)
             .map(|i| Arc::new(tuple([format!("k{i}"), format!("v{}", i % 7)])))
             .collect();
-        for mode in [
-            LayoutMode::Fingerprint,
-            LayoutMode::Legacy,
-            LayoutMode::Collide,
-        ] {
+        for mode in [LayoutMode::Fingerprint, LayoutMode::Collide] {
             force_layout(Some(mode));
             let m = slots_of(&tuples);
             for (i, t) in tuples.iter().enumerate() {
@@ -406,15 +298,5 @@ mod tests {
             assert_eq!(m.get(&tuple(["missing", "row"]), &tuples), None, "{mode:?}");
         }
         force_layout(None);
-    }
-
-    #[test]
-    fn slot_map_clear_empties_but_stays_usable() {
-        let tuples: Vec<Arc<Tuple>> = vec![Arc::new(tuple(["a"])), Arc::new(tuple(["b"]))];
-        let mut m = slots_of(&tuples);
-        m.clear();
-        assert_eq!(m.get(&tuples[0], &tuples), None);
-        m.insert(&tuples[1], 1);
-        assert_eq!(m.get(&tuples[1], &tuples), Some(1));
     }
 }

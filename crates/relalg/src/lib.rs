@@ -13,32 +13,31 @@
 //!   pretty printer;
 //! * a type checker ([`output_schema`]) and a materializing evaluator
 //!   ([`eval()`](eval::eval));
-//! * the generic **annotated evaluator** ([`engine`]): the same tree walk
-//!   parameterized over an [`Annotation`] semiring-style trait — the single
-//!   engine behind plain evaluation, lineage, why/where-provenance and
-//!   Boolean lineage expressions (instances live in `dap-provenance`);
-//! * the **materialized operator pipeline** ([`plan`]): the walk's retained
-//!   form — [`MaterializedPlan`] keeps per-operator state so the annotated
-//!   view stays current under source deletions in `O(affected)` instead of
-//!   a full re-evaluation;
-//! * the **shared-plan registry** ([`registry`]): many standing queries
-//!   materialized as one hash-consed operator DAG — α-equivalent subtrees
-//!   resolve to a single shared node, and
+//! * the generic **annotated evaluator** ([`engine`]): one operator-tree
+//!   build parameterized over an [`Annotation`] semiring-style trait — the
+//!   single engine behind plain evaluation, lineage, why/where-provenance
+//!   and Boolean lineage expressions (instances live in `dap-provenance`);
+//!   the independent tree walk [`eval()`](eval::eval) is its reference;
+//! * the **maintained-view engine** ([`registry`], with the per-operator
+//!   kernels in [`plan`]): standing queries materialized as one
+//!   hash-consed operator DAG that keeps per-operator state — α-equivalent
+//!   subtrees resolve to a single shared node, and
 //!   [`PlanRegistry::delete_sources`] pushes each deletion through the
-//!   DAG once, fanning per-query [`ViewDelta`]s out to every registered
-//!   query;
+//!   DAG once in `O(affected)`, fanning per-query [`ViewDelta`]s out to
+//!   every registered query. A one-query registry is the materialized
+//!   pipeline of a single `(Q, S)`, and [`eval_annotated`] is one consumed
+//!   on the spot;
 //! * the **persistent parallel runtime** ([`par`]): a dependency-free
 //!   [`ParPool`] (thread count from `DAP_THREADS` or the hardware) whose
-//!   deterministic sharding helpers parallelize plan construction here and
-//!   the batched deletion dispatchers in `dap-core` over a process-global
-//!   set of parked worker threads, with one thread degrading to the exact
-//!   sequential code paths;
+//!   deterministic sharding helpers parallelize operator builds and the
+//!   registry push here and the batched deletion dispatchers in `dap-core`
+//!   over a process-global set of parked worker threads, with one thread
+//!   degrading to the exact sequential code paths;
 //! * the **hot-path data layout** ([`mod@intern`], [`fingerprint`]): globally
 //!   interned string values ([`Sym`] — id-compare equality, one allocation
 //!   per distinct constant) and fixed-width `u64` join-key fingerprints
-//!   with a collision-checked fallback, selectable at runtime
-//!   (`DAP_LAYOUT` / [`force_layout`]) with bit-identical outputs in
-//!   every mode;
+//!   with a collision-checked fallback (which [`force_layout`] can force
+//!   onto every key, for tests);
 //! * query classification ([`OpFootprint`], [`detect_chain_join`]) used by
 //!   the paper's dichotomy theorems;
 //! * the **union normal form** rewriter ([`normalize()`](normalize::normalize), Theorem 3.1 of the
@@ -99,7 +98,7 @@ pub use name::{Attr, RelName};
 pub use normalize::{is_normal_form, normalize, Branch, NormalForm, RenamedScan};
 pub use par::ParPool;
 pub use parser::{parse_database, parse_pred, parse_query};
-pub use plan::{MaterializedPlan, ViewDelta};
+pub use plan::ViewDelta;
 pub use predicate::{CmpOp, Operand, Pred};
 pub use query::Query;
 pub use registry::{PlanRegistry, QueryId, SubscriberId};

@@ -1,11 +1,10 @@
 //! The **persistent parallel runtime** — a small, dependency-free pool of
 //! long-lived worker threads shared by every hot path that shards cleanly.
 //!
-//! The repository's serving workloads — annotated plan construction
-//! ([`crate::plan::MaterializedPlan::build_with`]), the registry's
-//! level-parallel delta push, and batched deletion solving (`dap-core`'s
-//! dichotomy dispatchers) — are embarrassingly parallel at well-defined
-//! seams. [`ParPool`] provides exactly the helpers those seams need:
+//! The repository's serving workloads — the registry's per-operator
+//! builds ([`crate::plan`]) and level-parallel delta push, and batched
+//! deletion solving (`dap-core`'s dichotomy dispatchers) — are
+//! embarrassingly parallel at well-defined seams. [`ParPool`] provides exactly the helpers those seams need:
 //!
 //! * [`ParPool::par_ranges`] — contiguous sharding of an index space,
 //!   results concatenated in range order (for uniform per-item work:
@@ -17,9 +16,7 @@
 //! * [`ParPool::par_map_owned`] — chunked mapping over an owned vector
 //!   (bucket normalization without a clone);
 //! * [`ParPool::par_tasks`] — a handful of coarse independent tasks with
-//!   no grain floor (one DAG node's delta propagation each);
-//! * [`ParPool::join2`] — two independent closures in parallel (operator
-//!   subtree builds).
+//!   no grain floor (one DAG node's delta propagation each).
 //!
 //! ## Persistent workers
 //!
@@ -478,9 +475,8 @@ impl ParPool {
     /// parallel below a minimum item count per shard. Tasks are claimed
     /// dynamically (one at a time, so skew balances) and results come back
     /// in input order. Use when each task is itself substantial (one DAG
-    /// node's delta propagation, one operator subtree) so that even two or
-    /// three tasks are worth dispatching; the fine-grained helpers are
-    /// cheaper for per-row work.
+    /// node's delta propagation) so that even two or three tasks are worth
+    /// dispatching; the fine-grained helpers are cheaper for per-row work.
     pub fn par_tasks<T, R, F>(&self, tasks: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -500,39 +496,6 @@ impl ParPool {
                 .expect("each task is claimed exactly once");
             f(task)
         })
-    }
-
-    /// Run two independent closures, in parallel when the pool has more
-    /// than one thread.
-    pub fn join2<A, B, FA, FB>(&self, fa: FA, fb: FB) -> (A, B)
-    where
-        A: Send,
-        B: Send,
-        FA: FnOnce() -> A + Send,
-        FB: FnOnce() -> B + Send,
-    {
-        if self.threads == 1 {
-            return (fa(), fb());
-        }
-        enum Either<A, B> {
-            A(A),
-            B(B),
-        }
-        let ca = Mutex::new(Some(fa));
-        let cb = Mutex::new(Some(fb));
-        let mut out = self.run_indexed(2, |i| {
-            if i == 0 {
-                Either::A((ca.lock().expect("closure slot").take().expect("once"))())
-            } else {
-                Either::B((cb.lock().expect("closure slot").take().expect("once"))())
-            }
-        });
-        let b = out.pop();
-        let a = out.pop();
-        match (a, b) {
-            (Some(Either::A(a)), Some(Either::B(b))) => (a, b),
-            _ => unreachable!("run_indexed returns slot 0 then slot 1"),
-        }
     }
 }
 
@@ -595,15 +558,6 @@ mod tests {
                 let out = pool.par_tasks(tasks, |i| i * 10);
                 assert_eq!(out, (0..n).map(|i| i * 10).collect::<Vec<_>>());
             }
-        }
-    }
-
-    #[test]
-    fn join2_returns_both_sides() {
-        for threads in [1, 2] {
-            let pool = ParPool::new(threads);
-            let (a, b) = pool.join2(|| 1 + 1, || "two");
-            assert_eq!((a, b), (2, "two"));
         }
     }
 

@@ -1,24 +1,24 @@
-//! The **materialized operator pipeline** — incremental view maintenance
-//! under source deletions, for every annotation semantics.
+//! The **operator kernels** of the maintained-view engine — per-operator
+//! state, its construction, and incremental delta propagation under
+//! source deletions, for every annotation semantics.
 //!
-//! [`crate::engine::eval_annotated`] answers "what is the annotated view of
-//! `Q(S)`?" with one tree walk and throws every intermediate operator state
-//! away. The serving workload of the deletion-propagation problems is the
-//! opposite shape: one hot `(Q, S)` pair asked again and again as source
-//! tuples are deleted. [`MaterializedPlan`] builds the same operator tree
-//! **once** and *retains* per-operator state — scan row liveness, the
+//! [`crate::registry::PlanRegistry`] is the one engine that maintains
+//! views: it hash-conses operator subtrees into a shared DAG and drives
+//! this module's kernels over it. A one-query registry is the
+//! materialized pipeline of a single `(Q, S)` —
+//! [`crate::engine::eval_annotated`] is "register `Q`, consume the root".
+//! Every operator node *retains* its state — scan row liveness, the
 //! (left, right) pair behind every join output, per-bucket contributor
-//! lists at projections and unions — so that
-//! [`MaterializedPlan::delete_sources`] can push a deletion bottom-up and
-//! recompute only the buckets whose derivations actually changed, in
+//! lists at projections and unions — so that a deletion pushed bottom-up
+//! recomputes only the buckets whose derivations actually changed, in
 //! `O(affected)` instead of an `O(|S|)` re-evaluation.
 //!
 //! ## Node state and the support-count invariants
 //!
 //! Every operator node materializes its output rows in **stable slots**
-//! (first-derivation order, exactly the order of the one-shot walk). A slot
-//! is never reused; deletion marks it dead. What "support" a node keeps per
-//! output slot depends on how the operator can merge derivations:
+//! (first-derivation order). A slot is never reused; deletion marks it
+//! dead. What "support" a node keeps per output slot depends on how the
+//! operator can merge derivations:
 //!
 //! * **Scan** — slot `i` *is* base row `i` of the relation ([`Tid::row`]);
 //!   the tid map is the identity plus a liveness bit. Deleting a source
@@ -47,26 +47,23 @@
 //! witness that had absorbed a larger one, and the surviving contributors
 //! still carry exactly the alternatives the fresh evaluation would see.
 //!
-//! ## Parallel construction
+//! ## Construction
 //!
-//! Cold-start construction is the expensive half of the serving story, and
-//! its loops are pure: [`MaterializedPlan::build_with`] shards them over a
-//! [`ParPool`] — independent operator subtrees build concurrently
-//! (sub-builders spliced back in sequential node order), the join build
-//! hashes its right side into per-shard tables by key hash while the probe
-//! runs over left-row chunks, and per-row annotation work (scan seeding,
-//! projection, ⊕-bucket normalization) maps over contiguous ranges.
-//! ⊕-interning itself stays sequential, so every merge happens in the
-//! derivation order of the one-shot walk and the result is **identical to
-//! the sequential build** for every carrier; a one-thread pool runs the
-//! exact sequential code path. Tuples are shared between operator levels
-//! as [`Arc<Tuple>`], so select/union passthrough and bucket interning
-//! bump a refcount instead of cloning value vectors.
+//! The `build_*` kernels shard their pure loops over a [`ParPool`]: the
+//! join build hashes its right side into per-shard tables by key
+//! fingerprint while the probe runs over left-row chunks, and per-row
+//! annotation work (scan seeding, projection, ⊕-bucket normalization) maps
+//! over contiguous ranges. ⊕-interning itself stays sequential, so every
+//! merge happens in derivation order and the result is **identical to the
+//! sequential build** for every carrier; a one-thread pool runs the exact
+//! sequential code path. Tuples are shared between operator levels as
+//! [`Arc<Tuple>`], so select/union passthrough and bucket interning bump a
+//! refcount instead of cloning value vectors.
 //!
 //! ## Delta propagation
 //!
-//! Deltas are per-node `(removed slots, changed slots)` pairs, pushed in
-//! build (post-) order so children settle before parents:
+//! Deltas are per-node `(removed slots, changed slots)` pairs, pushed
+//! children-first, one node at a time:
 //!
 //! * a *removed* input slot prunes contributor lists / kills 1:1 outputs;
 //! * a *changed* input slot marks its buckets affected;
@@ -76,12 +73,13 @@
 //!   differs** — all shipped carriers normalize to canonical forms, so an
 //!   unchanged value stops the ripple right there.
 //!
-//! The root's delta is returned as a [`ViewDelta`]. Renames never
-//! materialize a node: they only relabel the schema, so the build collapses
-//! them into their child and records the renamed schema at the root.
+//! A root's delta reaches callers as a [`ViewDelta`]. Renames never
+//! materialize a node: they only relabel the schema, so the registry
+//! collapses them into their child and records the renamed schema per
+//! query.
 //!
 //! ```
-//! use dap_relalg::{parse_database, parse_query, tuple, MaterializedPlan, Tid, Unit};
+//! use dap_relalg::{parse_database, parse_query, tuple, PlanRegistry, Unit};
 //!
 //! let db = parse_database(
 //!     "relation UserGroup(user, grp) { (ann, staff), (bob, staff), (bob, dev) }
@@ -89,29 +87,28 @@
 //! ).unwrap();
 //! let q = parse_query("project(join(scan UserGroup, scan GroupFile), [user, file])").unwrap();
 //!
-//! let mut plan = MaterializedPlan::<Unit>::build(&q, &db).unwrap();
-//! assert_eq!(plan.len(), 3);
+//! let mut reg = PlanRegistry::<Unit>::new(&db);
+//! let id = reg.register(&q).unwrap();
+//! assert_eq!(reg.view_len(id), 3);
 //! // Deleting (bob, dev) kills (bob, main); (bob, report) survives via staff.
-//! let delta = plan.delete_sources(&[db.tid_of("UserGroup", &tuple(["bob", "dev"])).unwrap()]);
-//! assert_eq!(delta.removed, vec![tuple(["bob", "main"])]);
-//! assert!(plan.annotation_of(&tuple(["bob", "report"])).is_some());
+//! let deltas = reg.delete_sources(&[db.tid_of("UserGroup", &tuple(["bob", "dev"])).unwrap()]);
+//! assert_eq!(deltas[0].1.removed, vec![tuple(["bob", "main"])]);
+//! assert!(reg.annotation_of(id, &tuple(["bob", "report"])).is_some());
 //! ```
 
-use crate::database::{Database, Tid};
-use crate::engine::{Annotated, Annotation, JoinLayout};
+use crate::database::Tid;
+use crate::engine::{Annotation, JoinLayout};
 use crate::error::Result;
-use crate::fingerprint::{Bucket, ContentKey, FpMap, LayoutMode, TupleSlotMap};
-use crate::name::{Attr, RelName};
+use crate::fingerprint::{Bucket, FpMap, LayoutMode, TupleSlotMap};
+use crate::name::Attr;
 use crate::par::ParPool;
-use crate::query::Query;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use crate::typecheck::output_schema;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-/// What one [`MaterializedPlan::delete_sources`] call did to the view.
-/// Both lists are sorted ascending and disjoint.
+/// What one [`crate::registry::PlanRegistry::delete_sources`] call did to
+/// one registered query's view. Both lists are sorted ascending and
+/// disjoint.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ViewDelta {
     /// View tuples that disappeared (their last derivation died).
@@ -119,7 +116,7 @@ pub struct ViewDelta {
     /// View tuples that survive with a **different annotation** (some but
     /// not all of their derivations died, or an upstream annotation
     /// shrank/grew). Read the new value off
-    /// [`MaterializedPlan::annotation_of`].
+    /// [`crate::registry::PlanRegistry::annotation_of`].
     pub changed: Vec<Tuple>,
 }
 
@@ -166,12 +163,12 @@ impl<A> Rows<A> {
 }
 
 /// The retained per-operator state (see the module docs for the invariants
-/// each variant maintains). Child indices always point at earlier plan
-/// nodes: the build pushes children first.
+/// each variant maintains). Child indices always point at earlier nodes:
+/// the registry builds children first.
 #[derive(Clone, Debug)]
 pub(crate) enum Op {
     /// Slot `i` ↔ base row `i`; deletion of `Tid { rel, row }` kills slot
-    /// `row`. The relation name lives in [`MaterializedPlan::scans`].
+    /// `row`. The relation name lives in the registry's scan list.
     Scan,
     /// `out_of[input slot]` — the output slot the row passed through to,
     /// if it satisfied the predicate.
@@ -230,7 +227,7 @@ impl<A> Node<A> {
     }
 }
 
-/// Per-node scratch delta for one `delete_sources` push.
+/// Per-node scratch delta for one registry `delete_sources` push.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct NodeDelta {
     pub(crate) removed: Vec<usize>,
@@ -253,231 +250,11 @@ impl NodeDelta {
     }
 }
 
-/// A materialized annotated pipeline for one `(Q, S)`: build once, then
-/// maintain the annotated view under source deletions with
-/// [`MaterializedPlan::delete_sources`]. See the module docs for the
-/// retained state and its invariants.
-#[derive(Clone, Debug)]
-pub struct MaterializedPlan<A> {
-    nodes: Vec<Node<A>>,
-    root: usize,
-    schema: Schema,
-    /// `(relation, scan node)` pairs — one entry per scan, so self-joins
-    /// route a deletion to every occurrence.
-    scans: Vec<(RelName, usize)>,
-    /// Root slots in sorted-tuple order (deletion never reorders; reads
-    /// filter dead slots).
-    root_order: Vec<usize>,
-    /// Root tuple → slot (lookups check liveness). Fingerprint-keyed with
-    /// collision-checked fallback against the root rows — see
-    /// [`crate::fingerprint::TupleSlotMap`].
-    root_index: TupleSlotMap,
-    /// Scratch deltas, one per node, reused across calls.
-    deltas: Vec<NodeDelta>,
-}
-
-impl<A: Annotation> MaterializedPlan<A> {
-    /// Build the pipeline for `q` over `db` with the process-default
-    /// [`ParPool`]: one annotated evaluation that keeps its intermediate
-    /// state. Fails (before materializing anything) on the same type
-    /// errors as evaluation.
-    pub fn build(q: &Query, db: &Database) -> Result<MaterializedPlan<A>> {
-        MaterializedPlan::build_with(q, db, ParPool::global())
-    }
-
-    /// [`MaterializedPlan::build`] sharded over an explicit pool. The
-    /// result is **identical** for every pool size (see the module docs);
-    /// a one-thread pool runs the exact sequential code path.
-    pub fn build_with(q: &Query, db: &Database, pool: ParPool) -> Result<MaterializedPlan<A>> {
-        output_schema(q, &db.catalog())?;
-        let mut builder = Builder {
-            nodes: Vec::new(),
-            scans: Vec::new(),
-            pool,
-            // Subtree fan-out budget: 2^depth leaves saturate the pool.
-            par_depth: pool.threads().ilog2(),
-        };
-        let (root, schema) = builder.node(q, db)?;
-        let rows = &builder.nodes[root].rows;
-        let mut root_order: Vec<usize> = (0..rows.tuples.len()).collect();
-        root_order.sort_by(|&i, &j| rows.tuples[i].cmp(&rows.tuples[j]));
-        let mut root_index = TupleSlotMap::with_capacity(rows.tuples.len());
-        for (slot, t) in rows.tuples.iter().enumerate() {
-            root_index.insert(t, slot);
-        }
-        let deltas = vec![NodeDelta::default(); builder.nodes.len()];
-        Ok(MaterializedPlan {
-            nodes: builder.nodes,
-            root,
-            schema,
-            scans: builder.scans,
-            root_order,
-            root_index,
-            deltas,
-        })
-    }
-
-    /// The view's schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Number of tuples currently in the view.
-    pub fn len(&self) -> usize {
-        self.nodes[self.root].rows.alive_count
-    }
-
-    /// Whether the view is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterate over the current view in sorted tuple order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Tuple, &A)> {
-        let rows = &self.nodes[self.root].rows;
-        self.root_order
-            .iter()
-            .filter(|&&s| rows.alive[s])
-            .map(move |&s| (&*rows.tuples[s], &rows.annots[s]))
-    }
-
-    /// The current annotation of `t`, if `t` is (still) in the view.
-    pub fn annotation_of(&self, t: &Tuple) -> Option<&A> {
-        let rows = &self.nodes[self.root].rows;
-        self.root_index
-            .get(t, &rows.tuples)
-            .filter(|&s| rows.alive[s])
-            .map(|s| &rows.annots[s])
-    }
-
-    /// Whether `t` is (still) in the view.
-    pub fn contains(&self, t: &Tuple) -> bool {
-        self.annotation_of(t).is_some()
-    }
-
-    /// Clone the current view into a sorted [`Annotated`] — what a fresh
-    /// [`crate::engine::eval_annotated`] of `Q` over the deleted-from
-    /// database would return (up to source-tuple renumbering inside the
-    /// annotations: the plan keeps the *original* [`Tid`]s).
-    pub fn snapshot(&self) -> Annotated<A> {
-        let mut tuples = Vec::with_capacity(self.len());
-        let mut annots = Vec::with_capacity(self.len());
-        for (t, a) in self.iter() {
-            tuples.push(t.clone());
-            annots.push(a.clone());
-        }
-        Annotated::from_sorted_parts(self.schema.clone(), tuples, annots)
-    }
-
-    /// Consume the plan into its current sorted output without cloning the
-    /// root rows — the one-shot evaluation path
-    /// ([`crate::engine::eval_annotated`] is exactly build + this).
-    pub fn into_annotated(mut self) -> Annotated<A> {
-        let rows = std::mem::replace(
-            &mut self.nodes[self.root].rows,
-            Rows::new(Vec::new(), Vec::new()),
-        );
-        // Release any tuple handles the index holds (legacy layout) so the
-        // unwrap below can move tuples out instead of cloning (non-root
-        // nodes may still share scan/select handles; those fall back to one
-        // clone). `clear` keeps the map's allocation — this plan is being
-        // consumed, but the same call is what the steady-state delta path
-        // uses, so there is exactly one reset idiom.
-        self.root_index.clear();
-        // Zip, drop dead slots, sort by tuple, unzip: the sort moves whole
-        // pairs, so no per-element Option take-dance is needed.
-        let mut pairs: Vec<(Arc<Tuple>, A)> = rows
-            .tuples
-            .into_iter()
-            .zip(rows.annots)
-            .zip(rows.alive)
-            .filter(|(_, alive)| *alive)
-            .map(|(pair, _)| pair)
-            .collect();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut tuples = Vec::with_capacity(pairs.len());
-        let mut annots = Vec::with_capacity(pairs.len());
-        for (t, a) in pairs {
-            tuples.push(Arc::try_unwrap(t).unwrap_or_else(|shared| (*shared).clone()));
-            annots.push(a);
-        }
-        Annotated::from_sorted_parts(self.schema, tuples, annots)
-    }
-
-    /// Delete the source tuples named by `tids` and push the change through
-    /// the pipeline, recomputing only affected buckets. Returns the view
-    /// delta. Tids addressing relations the query never scans, rows outside
-    /// the relation, rows already deleted, or repeats within `tids` are
-    /// no-ops, so the call is idempotent and deletions are cumulative
-    /// across calls. An empty or all-no-op slice returns an empty delta
-    /// without walking the operator tree.
-    pub fn delete_sources(&mut self, tids: &[Tid]) -> ViewDelta {
-        if tids.is_empty() {
-            return ViewDelta::default();
-        }
-        // Seed the scan kills first: repeated tids dedupe via the alive
-        // check, and a batch with no effect skips the tree walk entirely.
-        let mut seeds: Vec<(usize, usize)> = Vec::new();
-        for tid in tids {
-            for &(ref rel, node) in &self.scans {
-                if *rel != tid.rel {
-                    continue;
-                }
-                let rows = &mut self.nodes[node].rows;
-                if tid.row < rows.alive.len() && rows.alive[tid.row] {
-                    rows.kill(tid.row);
-                    seeds.push((node, tid.row));
-                }
-            }
-        }
-        if seeds.is_empty() {
-            return ViewDelta::default();
-        }
-        for d in &mut self.deltas {
-            d.clear();
-        }
-        for (node, row) in seeds {
-            self.deltas[node].removed.push(row);
-        }
-        for id in 0..self.nodes.len() {
-            if !matches!(self.nodes[id].op, Op::Scan) {
-                self.propagate(id);
-            }
-        }
-        let rows = &self.nodes[self.root].rows;
-        let delta = &self.deltas[self.root];
-        let mut removed: Vec<Tuple> = delta
-            .removed
-            .iter()
-            .map(|&s| (*rows.tuples[s]).clone())
-            .collect();
-        let mut changed: Vec<Tuple> = delta
-            .changed
-            .iter()
-            .map(|&s| (*rows.tuples[s]).clone())
-            .collect();
-        removed.sort();
-        changed.sort();
-        ViewDelta { removed, changed }
-    }
-
-    /// Apply node `id`'s children's deltas to node `id` (children always
-    /// have smaller indices, so split borrows are safe).
-    fn propagate(&mut self, id: usize) {
-        let (child_deltas, rest) = self.deltas.split_at_mut(id);
-        let delta = &mut rest[0];
-        let (child_nodes, rest) = self.nodes.split_at_mut(id);
-        propagate_node(&mut rest[0], delta, child_nodes, child_deltas);
-    }
-}
-
 /// Apply the children's settled deltas to one (non-scan) node, filling
 /// `delta` with the node's own removed/changed slots. `nodes` and `deltas`
 /// are indexed by absolute child id; the node itself need not be inside
 /// them (the registry's level-parallel push extracts nodes out of the
-/// arena while their children stay behind). This is the single propagation
-/// kernel shared by [`MaterializedPlan::delete_sources`] and
-/// `crate::registry::PlanRegistry::delete_sources`.
+/// arena while their children stay behind).
 pub(crate) fn propagate_node<A: Annotation>(
     node: &mut Node<A>,
     delta: &mut NodeDelta,
@@ -665,15 +442,6 @@ pub(crate) fn propagate_node<A: Annotation>(
     }
 }
 
-/// Build-time accumulator: nodes in post-order plus the scan registry, and
-/// the sharding policy ([`ParPool`] + remaining subtree fan-out budget).
-struct Builder<A> {
-    nodes: Vec<Node<A>>,
-    scans: Vec<(RelName, usize)>,
-    pool: ParPool,
-    par_depth: u32,
-}
-
 /// ⊕-merge bucket accumulator shared by the project and union builds:
 /// interned output tuples with contributor bookkeeping. The bucket index
 /// is fingerprint-keyed (candidates verified against `tuples`), so a
@@ -719,121 +487,30 @@ impl<A: Annotation> BucketAcc<A> {
     }
 }
 
-/// Deterministic hash of a legacy join key, used only to pick a build
-/// shard (the shard choice is invisible in the output; a fixed hasher
-/// keeps runs reproducible). Hashes key content, like the seed did.
-fn key_hash(key: &ContentKey<'_>) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
-}
-
-/// The legacy (pre-interning) join build/probe: allocated `Vec<&Value>`
-/// keys under SipHash over the key content (string bytes, not interned
-/// ids — [`ContentKey`] restores the seed's cost model). Kept as the
-/// honest baseline layout for `report_hotpath` and the differential
-/// layout tests; emission order is identical to the fingerprint path.
-#[allow(clippy::too_many_arguments)]
-fn build_join_produced_legacy<A: Annotation>(
+/// The join build/probe: tables keyed by `u64` key fingerprints through
+/// an identity-hash [`FpMap`] — no per-row key allocation, no byte-walking
+/// hash. Candidates sharing a fingerprint are verified against the actual
+/// key values before they join (an integer compare per attribute under
+/// interning), so collisions — including the forced-collision test mode —
+/// only cost time, never correctness. The build shards by key fingerprint
+/// (shard `s` owns the keys landing on it, so per-key row order stays
+/// ascending) and the probe runs over left-row chunks, so the sequential
+/// emission order is preserved exactly; one shard is the exact sequential
+/// build.
+fn build_join_produced<A: Annotation>(
     lrows: &Rows<A>,
     l_keys: &[usize],
     rrows: &Rows<A>,
     r_keys: &[usize],
     layout: &JoinLayout,
-    shards: usize,
     pool: ParPool,
 ) -> Vec<(usize, usize, Arc<Tuple>, A)> {
-    fn key_of<'a>(t: &'a Tuple, keys: &[usize]) -> ContentKey<'a> {
-        ContentKey(keys.iter().map(|&i| t.get(i)).collect())
-    }
-    let tables: Vec<HashMap<ContentKey, Vec<usize>>> = if shards == 1 {
-        let mut table: HashMap<ContentKey, Vec<usize>> = HashMap::with_capacity(rrows.tuples.len());
-        for (idx, t) in rrows.tuples.iter().enumerate() {
-            table.entry(key_of(t, r_keys)).or_default().push(idx);
-        }
-        vec![table]
+    let mode = LayoutMode::current();
+    let shards = if rrows.tuples.len() >= 2 * BUILD_GRAIN {
+        pool.threads()
     } else {
-        // One parallel pass buckets row indices per shard (range-order
-        // concat keeps each shard's rows ascending), so every shard then
-        // scans only its own rows — O(|R|) partition work total, not
-        // O(shards · |R|).
-        let bucketed: Vec<Vec<Vec<usize>>> =
-            pool.par_ranges(rrows.tuples.len(), BUILD_GRAIN, |range| {
-                let mut local: Vec<Vec<usize>> = vec![Vec::new(); shards];
-                for i in range {
-                    let h = key_hash(&key_of(&rrows.tuples[i], r_keys));
-                    local[(h % shards as u64) as usize].push(i);
-                }
-                vec![local]
-            });
-        let mut shard_rows: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for local in bucketed {
-            for (s, rows) in local.into_iter().enumerate() {
-                shard_rows[s].extend(rows);
-            }
-        }
-        pool.par_indices(shards, |s| {
-            let mut table: HashMap<ContentKey, Vec<usize>> =
-                HashMap::with_capacity(shard_rows[s].len());
-            for &idx in &shard_rows[s] {
-                table
-                    .entry(key_of(&rrows.tuples[idx], r_keys))
-                    .or_default()
-                    .push(idx);
-            }
-            table
-        })
+        1
     };
-    // Probe over left-row chunks; chunk-order concatenation reproduces the
-    // sequential emission order (left rows ascending, per-key matches in
-    // build order).
-    pool.par_ranges(lrows.tuples.len(), BUILD_GRAIN, |range| {
-        let mut out = Vec::new();
-        for li in range {
-            let lt = &lrows.tuples[li];
-            let key = key_of(lt, l_keys);
-            let table = if shards == 1 {
-                &tables[0]
-            } else {
-                &tables[(key_hash(&key) % shards as u64) as usize]
-            };
-            let Some(matches) = table.get(&key) else {
-                continue;
-            };
-            for &ri in matches {
-                let mut a = A::join(&lrows.annots[li], &rrows.annots[ri], layout);
-                a.normalize();
-                out.push((
-                    li,
-                    ri,
-                    Arc::new(lt.join_concat(&rrows.tuples[ri], &layout.right_extra)),
-                    a,
-                ));
-            }
-        }
-        out
-    })
-}
-
-/// The fingerprinted join build/probe: tables keyed by `u64` key
-/// fingerprints through an identity-hash [`FpMap`] — no per-row key
-/// allocation, no byte-walking hash. Candidates sharing a fingerprint are
-/// verified against the actual key values before they join (an integer
-/// compare per attribute under interning), so collisions — including the
-/// forced-collision test mode — only cost time, never correctness, and the
-/// sequential emission order is preserved exactly.
-#[allow(clippy::too_many_arguments)]
-fn build_join_produced_fp<A: Annotation>(
-    mode: LayoutMode,
-    lrows: &Rows<A>,
-    l_keys: &[usize],
-    rrows: &Rows<A>,
-    r_keys: &[usize],
-    layout: &JoinLayout,
-    shards: usize,
-    pool: ParPool,
-) -> Vec<(usize, usize, Arc<Tuple>, A)> {
     let tables: Vec<FpMap<Bucket<usize>>> = if shards == 1 {
         let mut table: FpMap<Bucket<usize>> =
             FpMap::with_capacity_and_hasher(rrows.tuples.len(), Default::default());
@@ -845,9 +522,11 @@ fn build_join_produced_fp<A: Annotation>(
         }
         vec![table]
     } else {
-        // Same O(|R|) partition-then-build as the legacy path, but the
-        // shard of a row is its key fingerprint — computed once and reused
-        // as the table key.
+        // One parallel pass buckets row indices per shard (range-order
+        // concat keeps each shard's rows ascending), so every shard then
+        // scans only its own rows — O(|R|) partition work total, not
+        // O(shards · |R|). The shard of a row is its key fingerprint,
+        // computed once and reused as the table key.
         let bucketed: Vec<Vec<Vec<(u64, usize)>>> =
             pool.par_ranges(rrows.tuples.len(), BUILD_GRAIN, |range| {
                 let mut local: Vec<Vec<(u64, usize)>> = vec![Vec::new(); shards];
@@ -908,7 +587,7 @@ fn build_join_produced_fp<A: Annotation>(
 
 /// Natural-join bookkeeping off the two operand schemas: the key positions
 /// on each side (shared attributes, left-schema order) and the annotation
-/// [`JoinLayout`]. Shared by the tree builder and the registry.
+/// [`JoinLayout`].
 pub(crate) fn join_keys_and_layout(
     ls: &Schema,
     rs: &Schema,
@@ -946,14 +625,8 @@ pub(crate) fn build_scan_rows<A: Annotation>(
 ) -> Rows<A> {
     let schema = r.schema();
     // Shared handles off the relation's cache: a refcount bump per row
-    // instead of a deep tuple clone per plan build. The legacy layout
-    // keeps the pre-overhaul behavior — a fresh `Arc::new(clone)` per
-    // row on every build — which is what the cache replaced.
-    let tuples: Vec<Arc<Tuple>> = if LayoutMode::current().is_legacy() {
-        r.tuples().iter().map(|t| Arc::new(t.clone())).collect()
-    } else {
-        r.shared_tuples().to_vec()
-    };
+    // instead of a deep tuple clone per build.
+    let tuples: Vec<Arc<Tuple>> = r.shared_tuples().to_vec();
     let annots: Vec<A> = pool.par_ranges(tuples.len(), BUILD_GRAIN, |range| {
         range
             .map(|row| {
@@ -970,7 +643,7 @@ pub(crate) fn build_scan_rows<A: Annotation>(
     Rows::new(tuples, annots)
 }
 
-/// Build a select node over its child's rows (`child` is the child's plan
+/// Build a select node over its child's rows (`child` is the child's node
 /// id, recorded in the op). Predicate evaluation shards over the pool;
 /// errors surface in row order during the sequential assembly.
 pub(crate) fn build_select_node<A: Annotation>(
@@ -1001,8 +674,8 @@ pub(crate) fn build_select_node<A: Annotation>(
 }
 
 /// Build a project node over its child's rows: parallel per-row
-/// projection, sequential ⊕-intern in derivation order (so every bucket
-/// merges in exactly the one-shot walk's order), parallel normalization.
+/// projection, sequential ⊕-intern in derivation order, parallel
+/// normalization.
 pub(crate) fn build_project_node<A: Annotation>(
     child: usize,
     ch: &Rows<A>,
@@ -1041,12 +714,8 @@ pub(crate) fn build_project_node<A: Annotation>(
 }
 
 /// Build a join node over its operands' rows. Build on the right, probe
-/// with the left; the retained state is the pair map plus the reverse
-/// adjacency, not the table itself. Tables key on `u64` key fingerprints
-/// (collision-verified; [`LayoutMode::Legacy`] keeps the borrowed-slice
-/// layout as the baseline). The build shards by key fingerprint/hash
-/// (shard `s` owns the keys landing on it, so per-key row order stays
-/// ascending); one shard is the exact sequential build. Each side arrives
+/// with the left ([`build_join_produced`]); the retained state is the pair
+/// map plus the reverse adjacency, not the table itself. Each side arrives
 /// as `(node id, rows, key positions)`.
 pub(crate) fn build_join_node<A: Annotation>(
     left_side: (usize, &Rows<A>, &[usize]),
@@ -1056,17 +725,7 @@ pub(crate) fn build_join_node<A: Annotation>(
 ) -> (Op, Rows<A>) {
     let (left, lrows, l_keys) = left_side;
     let (right, rrows, r_keys) = right_side;
-    let mode = LayoutMode::current();
-    let shards = if rrows.tuples.len() >= 2 * BUILD_GRAIN {
-        pool.threads()
-    } else {
-        1
-    };
-    let produced: Vec<(usize, usize, Arc<Tuple>, A)> = if mode.is_legacy() {
-        build_join_produced_legacy(lrows, l_keys, rrows, r_keys, &layout, shards, pool)
-    } else {
-        build_join_produced_fp(mode, lrows, l_keys, rrows, r_keys, &layout, shards, pool)
-    };
+    let produced = build_join_produced(lrows, l_keys, rrows, r_keys, &layout, pool);
     // Sequential assembly: stable output slots in emission order. The
     // joined tuple embeds the left tuple and determines the right one, and
     // node outputs are sets — each output has exactly one (l, r) pair.
@@ -1161,286 +820,4 @@ pub(crate) fn build_union_node<A: Annotation>(
         },
         rows,
     )
-}
-
-impl<A: Annotation> Builder<A> {
-    fn push(&mut self, op: Op, rows: Rows<A>) -> usize {
-        let id = self.nodes.len();
-        self.nodes.push(Node { op, rows });
-        id
-    }
-
-    /// Build both children of a binary operator — in parallel (independent
-    /// sub-builders, spliced back left-then-right so node ids match the
-    /// sequential build exactly) while the fan-out budget lasts.
-    fn child_pair(
-        &mut self,
-        left: &Query,
-        right: &Query,
-        db: &Database,
-    ) -> Result<((usize, Schema), (usize, Schema))> {
-        if self.pool.is_sequential() || self.par_depth == 0 {
-            let l = self.node(left, db)?;
-            let r = self.node(right, db)?;
-            return Ok((l, r));
-        }
-        // Each side gets half the thread budget: at fan-out depth `d` up
-        // to 2^d subtrees build concurrently, so halving per split keeps
-        // the aggregate number of worker threads at ~`threads` instead of
-        // `threads²` (the helpers spawn per call; an unbudgeted nest
-        // would oversubscribe the machine on exactly this cold path).
-        let sub = |this: &Builder<A>| Builder {
-            nodes: Vec::new(),
-            scans: Vec::new(),
-            pool: ParPool::new(this.pool.threads().div_ceil(2)),
-            par_depth: this.par_depth - 1,
-        };
-        let mut lb = sub(self);
-        let mut rb = sub(self);
-        let ((lres, lb), (rres, rb)) = self.pool.join2(
-            move || {
-                let res = lb.node(left, db);
-                (res, lb)
-            },
-            move || {
-                let res = rb.node(right, db);
-                (res, rb)
-            },
-        );
-        let (lroot, lschema) = lres?;
-        let (rroot, rschema) = rres?;
-        let loff = self.splice(lb);
-        let roff = self.splice(rb);
-        Ok(((lroot + loff, lschema), (rroot + roff, rschema)))
-    }
-
-    /// Append a sub-builder's nodes after this builder's, shifting child
-    /// node ids (slot-level state needs no translation — slots are local
-    /// to each node). Returns the id offset.
-    fn splice(&mut self, sub: Builder<A>) -> usize {
-        let off = self.nodes.len();
-        for mut node in sub.nodes {
-            match &mut node.op {
-                Op::Scan => {}
-                Op::Select { child, .. } | Op::Project { child, .. } => *child += off,
-                Op::Join { left, right, .. } | Op::Union { left, right, .. } => {
-                    *left += off;
-                    *right += off;
-                }
-            }
-            self.nodes.push(node);
-        }
-        for (rel, id) in sub.scans {
-            self.scans.push((rel, id + off));
-        }
-        off
-    }
-
-    /// Build the plan node for `q`, returning its index and schema.
-    /// Children are pushed before parents, so indices are in post-order.
-    /// The per-operator heavy lifting lives in the free `build_*`
-    /// functions shared with `crate::registry::PlanRegistry`.
-    fn node(&mut self, q: &Query, db: &Database) -> Result<(usize, Schema)> {
-        let pool = self.pool;
-        match q {
-            Query::Scan(rel) => {
-                let r = db.require(rel)?;
-                let schema = r.schema().clone();
-                let rows = build_scan_rows::<A>(r, pool);
-                let id = self.push(Op::Scan, rows);
-                self.scans.push((rel.clone(), id));
-                Ok((id, schema))
-            }
-            Query::Select { input, pred } => {
-                let (child, schema) = self.node(input, db)?;
-                let (op, rows) =
-                    build_select_node(child, &self.nodes[child].rows, &schema, pred, pool)?;
-                let id = self.push(op, rows);
-                Ok((id, schema))
-            }
-            Query::Project { input, attrs } => {
-                let (child, in_schema) = self.node(input, db)?;
-                let schema = in_schema.project(attrs)?;
-                let positions = in_schema.positions_of(attrs)?;
-                let (op, rows) =
-                    build_project_node(child, &self.nodes[child].rows, positions, pool);
-                let id = self.push(op, rows);
-                Ok((id, schema))
-            }
-            Query::Join { left, right } => {
-                let ((lid, ls), (rid, rs)) = self.child_pair(left, right, db)?;
-                let schema = ls.join_with(&rs);
-                let (l_keys, r_keys, layout) = join_keys_and_layout(&ls, &rs);
-                let (op, rows) = build_join_node(
-                    (lid, &self.nodes[lid].rows, &l_keys),
-                    (rid, &self.nodes[rid].rows, &r_keys),
-                    layout,
-                    pool,
-                );
-                let id = self.push(op, rows);
-                Ok((id, schema))
-            }
-            Query::Union { left, right } => {
-                let ((lid, ls), (rid, rs)) = self.child_pair(left, right, db)?;
-                // Align the right branch to the left branch's attribute
-                // order (a bijection, so aligned right tuples stay distinct).
-                let positions = rs.positions_of(ls.attrs())?;
-                let (op, rows) = build_union_node(
-                    lid,
-                    rid,
-                    &self.nodes[lid].rows,
-                    &self.nodes[rid].rows,
-                    positions,
-                    pool,
-                );
-                let id = self.push(op, rows);
-                Ok((id, ls))
-            }
-            Query::Rename { input, mapping } => {
-                // Renaming moves no tuples and no annotations — collapse to
-                // the child and relabel the schema (the paper's rule keeps
-                // original names inside where-provenance locations).
-                let (child, schema) = self.node(input, db)?;
-                Ok((child, schema.rename(mapping)?))
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::engine::{eval_annotated, Unit};
-    use crate::parser::{parse_database, parse_query};
-    use crate::tuple::tuple;
-    use std::collections::BTreeSet;
-
-    fn fixture() -> (Query, Database) {
-        let db = parse_database(
-            "relation UserGroup(user, grp) {
-                 (ann, staff), (bob, staff), (bob, dev)
-             }
-             relation GroupFile(grp, file) {
-                 (staff, report), (dev, main), (dev, report)
-             }",
-        )
-        .unwrap();
-        let q = parse_query("project(join(scan UserGroup, scan GroupFile), [user, file])").unwrap();
-        (q, db)
-    }
-
-    /// Maintained output equals a fresh evaluation of the remaining
-    /// database, tuple-for-tuple (`Unit` carries no tids, so no
-    /// renumbering caveat applies).
-    fn assert_tracks_fresh(q: &Query, db: &Database, deletions: &[Tid]) {
-        let mut plan = MaterializedPlan::<Unit>::build(q, db).unwrap();
-        let mut deleted = BTreeSet::new();
-        for tid in deletions {
-            plan.delete_sources(std::slice::from_ref(tid));
-            deleted.insert(tid.clone());
-            let fresh = eval_annotated::<Unit>(q, &db.without(&deleted)).unwrap();
-            let maintained: Vec<Tuple> = plan.iter().map(|(t, _)| t.clone()).collect();
-            assert_eq!(
-                maintained,
-                fresh.tuples().to_vec(),
-                "after deleting {deleted:?}"
-            );
-            assert_eq!(plan.len(), fresh.len());
-        }
-    }
-
-    #[test]
-    fn build_matches_eval_annotated() {
-        let (q, db) = fixture();
-        let plan = MaterializedPlan::<Unit>::build(&q, &db).unwrap();
-        let fresh = eval_annotated::<Unit>(&q, &db).unwrap();
-        assert_eq!(plan.snapshot().tuples(), fresh.tuples());
-        assert_eq!(plan.schema(), &fresh.schema);
-    }
-
-    #[test]
-    fn parallel_build_is_identical_to_sequential() {
-        let (q, db) = fixture();
-        let seq = MaterializedPlan::<Unit>::build_with(&q, &db, ParPool::sequential()).unwrap();
-        for threads in [2, 4] {
-            let par = MaterializedPlan::<Unit>::build_with(&q, &db, ParPool::new(threads)).unwrap();
-            assert_eq!(par.snapshot().tuples(), seq.snapshot().tuples());
-            assert_eq!(par.len(), seq.len());
-        }
-    }
-
-    #[test]
-    fn deletions_track_fresh_eval_per_operator() {
-        let (_, db) = fixture();
-        let all: Vec<Tid> = db.all_tids().collect();
-        for text in [
-            "scan UserGroup",
-            "select(scan UserGroup, user = 'bob')",
-            "project(scan UserGroup, [grp])",
-            "join(scan UserGroup, scan GroupFile)",
-            "project(join(scan UserGroup, scan GroupFile), [user, file])",
-            "union(scan UserGroup, rename(scan GroupFile, {grp -> user, file -> grp}))",
-            "rename(scan UserGroup, {user -> member})",
-        ] {
-            let q = parse_query(text).unwrap();
-            assert_tracks_fresh(&q, &db, &all);
-        }
-    }
-
-    #[test]
-    fn delta_reports_removed_and_spares_survivors() {
-        let (q, db) = fixture();
-        let mut plan = MaterializedPlan::<Unit>::build(&q, &db).unwrap();
-        let dev = db.tid_of("UserGroup", &tuple(["bob", "dev"])).unwrap();
-        let delta = plan.delete_sources(&[dev]);
-        // (bob, main) loses its only witness; (bob, report) survives via
-        // staff and Unit carries no annotation to change.
-        assert_eq!(delta.removed, vec![tuple(["bob", "main"])]);
-        assert!(delta.changed.is_empty());
-        assert!(plan.contains(&tuple(["bob", "report"])));
-        assert!(!plan.contains(&tuple(["bob", "main"])));
-        assert_eq!(plan.len(), 2);
-    }
-
-    #[test]
-    fn deletions_are_idempotent_and_unknown_tids_are_noops() {
-        let (q, db) = fixture();
-        let mut plan = MaterializedPlan::<Unit>::build(&q, &db).unwrap();
-        let dev = db.tid_of("UserGroup", &tuple(["bob", "dev"])).unwrap();
-        assert!(!plan.delete_sources(std::slice::from_ref(&dev)).is_empty());
-        // Again, plus a tid for an unscanned relation and an out-of-range row.
-        let delta = plan.delete_sources(&[dev, Tid::new("Nope", 0), Tid::new("UserGroup", 99)]);
-        assert!(delta.is_empty());
-        assert_eq!(plan.len(), 2);
-    }
-
-    #[test]
-    fn self_join_routes_deletions_to_both_scans() {
-        let db = parse_database("relation R(A, B) { (a, b1), (a, b2) }").unwrap();
-        let q = Query::scan("R").project(["A"]).join(Query::scan("R"));
-        let all: Vec<Tid> = db.all_tids().collect();
-        assert_tracks_fresh(&q, &db, &all);
-    }
-
-    #[test]
-    fn emptying_the_source_empties_the_view() {
-        let (q, db) = fixture();
-        let mut plan = MaterializedPlan::<Unit>::build(&q, &db).unwrap();
-        let all: Vec<Tid> = db.all_tids().collect();
-        plan.delete_sources(&all);
-        assert!(plan.is_empty());
-        assert_eq!(plan.iter().count(), 0);
-        assert!(plan.snapshot().is_empty());
-    }
-
-    #[test]
-    fn type_errors_surface_before_building() {
-        let (_, db) = fixture();
-        assert!(MaterializedPlan::<Unit>::build(&Query::scan("Nope"), &db).is_err());
-        let q = Query::scan("UserGroup").project(["nope"]);
-        assert!(MaterializedPlan::<Unit>::build(&q, &db).is_err());
-        // The parallel subtree path surfaces child errors too.
-        let q = Query::scan("UserGroup").join(Query::scan("Nope"));
-        assert!(MaterializedPlan::<Unit>::build_with(&q, &db, ParPool::new(4)).is_err());
-    }
 }

@@ -1,16 +1,21 @@
-//! The **shared-plan registry** — common-subplan sharing and single-pass
-//! delta fan-out across many standing queries.
+//! The **shared-plan registry** — the maintained-view engine: common-subplan
+//! sharing and single-pass delta fan-out across any number of standing
+//! queries.
 //!
-//! [`crate::plan::MaterializedPlan`] maintains *one* query's annotated view
-//! under source deletions. A serving engine holds **many** standing queries
-//! over the same database, and real query populations overlap heavily:
-//! every query scans the same base relations, subscription-style queries
-//! are cheap select tops over one expensive join/⊕ core, and self-joins
-//! repeat a subtree inside a single query. N independent plans rebuild all
-//! of that N times and re-push every deletion N times — O(N · |delta|)
+//! A serving engine holds **many** standing queries over the same
+//! database, and real query populations overlap heavily: every query scans
+//! the same base relations, subscription-style queries are cheap select
+//! tops over one expensive join/⊕ core, and self-joins repeat a subtree
+//! inside a single query. Maintaining each query on its own would rebuild
+//! all of that N times and re-push every deletion N times — O(N · |delta|)
 //! maintenance for work that is almost entirely identical.
 //!
-//! [`PlanRegistry`] keeps **one DAG of shared operator nodes** instead:
+//! [`PlanRegistry`] keeps **one DAG of shared operator nodes** instead,
+//! driving the per-operator kernels of [`crate::plan`] over it. It is the
+//! only engine that maintains views: a registry holding one query is that
+//! query's materialized pipeline ([`crate::engine::eval_annotated`] is a
+//! one-query registry whose root is consumed on the spot, and `dap-core`'s
+//! deletion contexts own one unless they join a shared one).
 //!
 //! * **Hash-consing at build time.** Every operator subtree is reduced to a
 //!   canonical, *positional* node key — scans by relation name, select
@@ -23,8 +28,8 @@
 //!   queries *and* within one (a self-join's repeated branch is stored
 //!   once). Annotations are positional too ([`Annotation::from_scan`] seeds
 //!   from the relation's own schema), so a shared node's rows *and*
-//!   annotations are identical to what every subscriber's private plan
-//!   would hold.
+//!   annotations are identical to what every subscriber's own one-query
+//!   registry would hold.
 //! * **Refcounted nodes with per-root taps.** Each node counts its parent
 //!   edges (with multiplicity — a self-join contributes two) plus one per
 //!   query rooted at it; [`PlanRegistry::unregister`] releases the root and
@@ -627,31 +632,55 @@ impl<A: Annotation> PlanRegistry<A> {
         Annotated::from_sorted_parts(schema, tuples, annots)
     }
 
+    /// Consume the registry into query `id`'s current view, sorted, moving
+    /// the root rows out instead of cloning them — the one-shot evaluation
+    /// path ([`crate::engine::eval_annotated`] is a one-query registry
+    /// plus this read).
+    ///
+    /// # Panics
+    ///
+    /// If `id` is not registered.
+    pub(crate) fn into_annotated(mut self, id: QueryId) -> Annotated<A> {
+        let RegisteredQuery { root, schema } = self.queries.remove(&id).expect("unknown QueryId");
+        let rows = std::mem::replace(&mut self.nodes[root], Node::placeholder()).rows;
+        // Drop every other node first: tuples the root shares with them
+        // (select and union passthrough) become unique and move out below;
+        // scan rows stay shared with the relation's cache and cost one
+        // clone each.
+        drop(self);
+        // Zip, drop dead slots, sort by tuple, unzip: the sort moves whole
+        // pairs, so no per-element Option take-dance is needed.
+        let mut pairs: Vec<(Arc<Tuple>, A)> = rows
+            .tuples
+            .into_iter()
+            .zip(rows.annots)
+            .zip(rows.alive)
+            .filter(|(_, alive)| *alive)
+            .map(|(pair, _)| pair)
+            .collect();
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut tuples = Vec::with_capacity(pairs.len());
+        let mut annots = Vec::with_capacity(pairs.len());
+        for (t, a) in pairs {
+            tuples.push(Arc::try_unwrap(t).unwrap_or_else(|shared| (*shared).clone()));
+            annots.push(a);
+        }
+        Annotated::from_sorted_parts(schema, tuples, annots)
+    }
+
     /// Delete the source tuples named by `tids` from every registered
     /// view: one push through the shared DAG, then per-query deltas cloned
     /// out in registration order. No-op tids (unknown relations,
-    /// out-of-range or already-dead rows, repeats) are skipped exactly as
-    /// in [`crate::plan::MaterializedPlan::delete_sources`]; a batch with
-    /// no effect returns empty deltas without touching the DAG.
+    /// out-of-range or already-dead rows, repeats) are skipped, so the
+    /// call is idempotent and deletions are cumulative across calls; a
+    /// batch with no effect returns empty deltas without touching the DAG.
     /// Subscribed queries additionally get `(tids, delta)` appended to
     /// their outbox.
     pub fn delete_sources(&mut self, tids: &[Tid]) -> Vec<(QueryId, ViewDelta)> {
         // Record even no-op tids: a relation nobody scans *yet* must still
         // be replayed into nodes a later registration builds.
         self.committed.extend(tids.iter().cloned());
-        let mut seeds: Vec<(usize, usize)> = Vec::new();
-        for tid in tids {
-            for &(ref rel, node) in &self.scans {
-                if *rel != tid.rel {
-                    continue;
-                }
-                let rows = &mut self.nodes[node].rows;
-                if tid.row < rows.alive.len() && rows.alive[tid.row] {
-                    rows.kill(tid.row);
-                    seeds.push((node, tid.row));
-                }
-            }
-        }
+        let seeds = kill_scan_rows(&mut self.nodes, &self.scans, tids);
         if seeds.is_empty() {
             return self
                 .queries
@@ -898,28 +927,20 @@ impl<A: Annotation> PlanRegistry<A> {
         for d in &mut self.deltas {
             d.clear();
         }
-        let mut any = false;
         let new_scans: Vec<(RelName, usize)> = self
             .scans
             .iter()
             .filter(|&&(_, n)| n >= before)
             .cloned()
             .collect();
-        if !new_scans.is_empty() {
-            let committed: Vec<Tid> = self.committed.iter().cloned().collect();
-            for tid in &committed {
-                for &(ref rel, node) in &new_scans {
-                    if *rel != tid.rel {
-                        continue;
-                    }
-                    let rows = &mut self.nodes[node].rows;
-                    if tid.row < rows.alive.len() && rows.alive[tid.row] {
-                        rows.kill(tid.row);
-                        self.deltas[node].removed.push(tid.row);
-                        any = true;
-                    }
-                }
-            }
+        let seeds = if new_scans.is_empty() {
+            Vec::new()
+        } else {
+            kill_scan_rows(&mut self.nodes, &new_scans, &self.committed)
+        };
+        let mut any = !seeds.is_empty();
+        for (node, row) in seeds {
+            self.deltas[node].removed.push(row);
         }
         let mut seeded: BTreeSet<usize> = BTreeSet::new();
         for id in before..self.nodes.len() {
@@ -948,8 +969,7 @@ impl<A: Annotation> PlanRegistry<A> {
     }
 
     /// Propagate one node against the arena in place (children always have
-    /// smaller ids, so split borrows are safe — same trick as
-    /// [`crate::plan::MaterializedPlan`]).
+    /// smaller ids, so split borrows are safe).
     fn propagate_in_place(&mut self, id: usize) {
         let (child_deltas, rest) = self.deltas.split_at_mut(id);
         let delta = &mut rest[0];
@@ -1025,12 +1045,36 @@ impl<A: Annotation> PlanRegistry<A> {
     }
 }
 
+/// Kill every live row that `tids` names in the scan nodes listed in
+/// `scans`, returning the `(scan node, row)` kills. Tids for relations no
+/// listed scan reads, out-of-range or already-dead rows, and repeats are
+/// no-ops; a relation scanned by several nodes dies in each of them.
+fn kill_scan_rows<'t, A>(
+    nodes: &mut [Node<A>],
+    scans: &[(RelName, usize)],
+    tids: impl IntoIterator<Item = &'t Tid>,
+) -> Vec<(usize, usize)> {
+    let mut kills = Vec::new();
+    for tid in tids {
+        for &(ref rel, node) in scans {
+            if *rel != tid.rel {
+                continue;
+            }
+            let rows = &mut nodes[node].rows;
+            if tid.row < rows.alive.len() && rows.alive[tid.row] {
+                rows.kill(tid.row);
+                kills.push((node, tid.row));
+            }
+        }
+    }
+    kills
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{eval_annotated, Unit};
     use crate::parser::{parse_database, parse_query};
-    use crate::plan::MaterializedPlan;
     use crate::tuple::tuple;
 
     fn fixture() -> Database {
@@ -1098,8 +1142,67 @@ mod tests {
         }
     }
 
+    /// Delete `tids` one at a time from a registry serving `queries`,
+    /// checking after every step that each view, and the delta that got it
+    /// there, matches a fresh evaluation of the deleted-from database
+    /// (`Unit` carries no tids, so no renumbering applies).
+    fn assert_tracks_fresh(queries: &[Query], db: &Database, tids: &[Tid]) {
+        let mut reg = PlanRegistry::<Unit>::new(db);
+        let ids: Vec<QueryId> = queries.iter().map(|q| reg.register(q).unwrap()).collect();
+        let mut views: Vec<Vec<Tuple>> = ids
+            .iter()
+            .map(|&id| reg.snapshot(id).tuples().to_vec())
+            .collect();
+        let mut deleted = BTreeSet::new();
+        for tid in tids {
+            let deltas = reg.delete_sources(std::slice::from_ref(tid));
+            deleted.insert(tid.clone());
+            let rest = db.without(&deleted);
+            for (((id, delta), q), view) in deltas.iter().zip(queries).zip(&mut views) {
+                let fresh = eval_annotated::<Unit>(q, &rest).unwrap();
+                assert_eq!(
+                    reg.snapshot(*id).tuples(),
+                    fresh.tuples(),
+                    "{q} after {deleted:?}"
+                );
+                assert_eq!(reg.view_len(*id), fresh.len(), "{q} after {deleted:?}");
+                let removed: Vec<Tuple> = view
+                    .iter()
+                    .filter(|t| fresh.tuples().binary_search(t).is_err())
+                    .cloned()
+                    .collect();
+                assert_eq!(delta.removed, removed, "{q} after {deleted:?}");
+                assert!(delta.changed.is_empty(), "Unit annotations never change");
+                *view = fresh.tuples().to_vec();
+            }
+        }
+    }
+
     #[test]
-    fn shared_deletion_matches_independent_plans() {
+    fn deletions_track_fresh_eval_per_operator() {
+        let db = fixture();
+        let queries: Vec<Query> = [
+            "scan UserGroup",
+            "select(scan UserGroup, user = 'bob')",
+            "project(scan UserGroup, [grp])",
+            "join(scan UserGroup, scan GroupFile)",
+            "project(join(scan UserGroup, scan GroupFile), [user, file])",
+            "union(scan UserGroup, rename(scan GroupFile, {grp -> user, file -> grp}))",
+            "rename(scan UserGroup, {user -> member})",
+        ]
+        .iter()
+        .map(|text| parse_query(text).unwrap())
+        .collect();
+        let all: Vec<Tid> = db.all_tids().collect();
+        // Each operator on its own registry, then all of them sharing one.
+        for q in &queries {
+            assert_tracks_fresh(std::slice::from_ref(q), &db, &all);
+        }
+        assert_tracks_fresh(&queries, &db, &all);
+    }
+
+    #[test]
+    fn shared_deletion_matches_fresh_evaluation() {
         let db = fixture();
         let queries = [
             core(),
@@ -1110,22 +1213,8 @@ mod tests {
             .unwrap(),
             parse_query("scan UserGroup").unwrap(),
         ];
-        let mut reg = PlanRegistry::<Unit>::new(&db);
-        let ids: Vec<QueryId> = queries.iter().map(|q| reg.register(q).unwrap()).collect();
-        let mut plans: Vec<MaterializedPlan<Unit>> = queries
-            .iter()
-            .map(|q| MaterializedPlan::build(q, &db).unwrap())
-            .collect();
-        for tid in db.all_tids().collect::<Vec<_>>() {
-            let shared = reg.delete_sources(std::slice::from_ref(&tid));
-            for ((id, delta), plan) in shared.iter().zip(&mut plans) {
-                let independent = plan.delete_sources(std::slice::from_ref(&tid));
-                assert_eq!(delta, &independent, "query {id} after deleting {tid:?}");
-            }
-            for (id, plan) in ids.iter().zip(&plans) {
-                assert_eq!(reg.snapshot(*id).tuples(), plan.snapshot().tuples());
-            }
-        }
+        let all: Vec<Tid> = db.all_tids().collect();
+        assert_tracks_fresh(&queries, &db, &all);
     }
 
     #[test]
@@ -1133,17 +1222,40 @@ mod tests {
         let db = parse_database("relation R(A, B) { (a, b1), (a, b2) }").unwrap();
         let q = Query::scan("R").project(["A"]).join(Query::scan("R"));
         let mut reg = PlanRegistry::<Unit>::new(&db);
-        let id = reg.register(&q).unwrap();
+        reg.register(&q).unwrap();
         // scan R is shared between the project branch and the join's right
         // operand: scan + project + join = 3 nodes.
         assert_eq!(reg.node_count(), 3);
-        let mut plan = MaterializedPlan::<Unit>::build(&q, &db).unwrap();
-        for tid in db.all_tids().collect::<Vec<_>>() {
-            let shared = reg.delete_sources(std::slice::from_ref(&tid));
-            let independent = plan.delete_sources(std::slice::from_ref(&tid));
-            assert_eq!(shared[0].1, independent, "after deleting {tid:?}");
-            assert_eq!(reg.snapshot(id).tuples(), plan.snapshot().tuples());
-        }
+        let all: Vec<Tid> = db.all_tids().collect();
+        assert_tracks_fresh(&[q], &db, &all);
+    }
+
+    #[test]
+    fn emptying_the_source_empties_the_view() {
+        let db = fixture();
+        let mut reg = PlanRegistry::<Unit>::new(&db);
+        let id = reg.register(&core()).unwrap();
+        let all: Vec<Tid> = db.all_tids().collect();
+        let deltas = reg.delete_sources(&all);
+        assert_eq!(deltas[0].1.removed.len(), 3);
+        assert_eq!(reg.view_len(id), 0);
+        assert_eq!(reg.iter_query(id).count(), 0);
+        assert!(reg.snapshot(id).is_empty());
+        let rest = db.without(&all.into_iter().collect());
+        assert!(eval_annotated::<Unit>(&core(), &rest).unwrap().is_empty());
+        assert!(reg.into_annotated(id).is_empty());
+    }
+
+    #[test]
+    fn into_annotated_matches_snapshot() {
+        let db = fixture();
+        let mut reg = PlanRegistry::<Unit>::new(&db);
+        let id = reg.register(&core()).unwrap();
+        reg.delete_sources(&[db.tid_of("UserGroup", &tuple(["bob", "dev"])).unwrap()]);
+        let snap = reg.snapshot(id);
+        let owned = reg.into_annotated(id);
+        assert_eq!(owned.tuples(), snap.tuples());
+        assert_eq!(owned.schema, snap.schema);
     }
 
     #[test]
@@ -1280,6 +1392,19 @@ mod tests {
     }
 
     #[test]
+    fn parallel_build_is_identical_to_sequential() {
+        let db = fixture();
+        let mut seq = PlanRegistry::<Unit>::with_pool(&db, ParPool::sequential());
+        let id = seq.register(&core()).unwrap();
+        for threads in [2, 4] {
+            let mut par = PlanRegistry::<Unit>::with_pool(&db, ParPool::new(threads));
+            let pid = par.register(&core()).unwrap();
+            assert_eq!(par.snapshot(pid).tuples(), seq.snapshot(id).tuples());
+            assert_eq!(par.node_count(), seq.node_count());
+        }
+    }
+
+    #[test]
     fn parallel_push_is_identical_to_sequential() {
         let db = fixture();
         let queries = [
@@ -1318,10 +1443,14 @@ mod tests {
         assert_eq!(out, vec![(q1, ViewDelta::default())]);
         let out = reg.delete_sources(&[Tid::new("Nope", 0), Tid::new("UserGroup", 99)]);
         assert_eq!(out, vec![(q1, ViewDelta::default())]);
-        // Repeats within one batch dedupe.
+        // Repeats within one batch dedupe, and a later batch repeating an
+        // already-deleted tid is a no-op.
         let dev = db.tid_of("UserGroup", &tuple(["bob", "dev"])).unwrap();
-        let out = reg.delete_sources(&[dev.clone(), dev]);
+        let out = reg.delete_sources(&[dev.clone(), dev.clone()]);
         assert_eq!(out[0].1.removed, vec![tuple(["bob", "main"])]);
+        let out = reg.delete_sources(&[dev]);
+        assert_eq!(out, vec![(q1, ViewDelta::default())]);
+        assert_eq!(reg.view_len(q1), 2);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::schema::Schema;
 use crate::tuple::Tuple;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A named relation instance with set semantics.
 #[derive(Clone)]
@@ -19,15 +20,14 @@ pub struct Relation {
     /// Sorted and deduplicated; the index of a tuple in this vector is its
     /// stable row id within the instance.
     tuples: Vec<Tuple>,
-    /// Lazily materialized `Arc` handles over `tuples`, row-aligned. Plan
+    /// Lazily materialized `Arc` handles over `tuples`, row-aligned. Scan
     /// builds share these instead of deep-cloning every base tuple per
-    /// build — the second and every later plan over the same instance
-    /// (registry fan-out, deletion contexts, benches) bumps refcounts
-    /// only. The cell itself sits behind an `Arc` so *clones of the
-    /// relation share one cache*: a deletion context cloning its database
-    /// still reuses (and back-fills) the caller's handles. Not part of
-    /// the relation's value (see the manual [`PartialEq`]).
-    shared: std::sync::Arc<std::sync::OnceLock<Vec<std::sync::Arc<Tuple>>>>,
+    /// build — the second and every later registry over the same instance
+    /// (deletion contexts, one-shot evaluations, benches) bumps refcounts
+    /// only; a [`crate::Database`] holds each relation behind one `Arc`,
+    /// so its clones share this cache too. Not part of the relation's
+    /// value (see the manual [`PartialEq`]).
+    shared: OnceLock<Vec<Arc<Tuple>>>,
 }
 
 /// Equality is over name, schema and tuples; the lazily-filled shared
@@ -63,7 +63,7 @@ impl Relation {
             name,
             schema,
             tuples: set.into_iter().collect(),
-            shared: std::sync::Arc::new(std::sync::OnceLock::new()),
+            shared: OnceLock::new(),
         })
     }
 
@@ -73,7 +73,7 @@ impl Relation {
             name: name.into(),
             schema,
             tuples: Vec::new(),
-            shared: std::sync::Arc::new(std::sync::OnceLock::new()),
+            shared: OnceLock::new(),
         }
     }
 
@@ -104,13 +104,9 @@ impl Relation {
 
     /// Row-aligned shared handles over [`Relation::tuples`], materialized
     /// once per instance and reused by every plan built over it.
-    pub fn shared_tuples(&self) -> &[std::sync::Arc<Tuple>] {
-        self.shared.get_or_init(|| {
-            self.tuples
-                .iter()
-                .map(|t| std::sync::Arc::new(t.clone()))
-                .collect()
-        })
+    pub fn shared_tuples(&self) -> &[Arc<Tuple>] {
+        self.shared
+            .get_or_init(|| self.tuples.iter().map(|t| Arc::new(t.clone())).collect())
     }
 
     /// The tuple at stable row index `row`.
@@ -142,7 +138,7 @@ impl Relation {
             name: self.name.clone(),
             schema: self.schema.clone(),
             tuples,
-            shared: std::sync::Arc::new(std::sync::OnceLock::new()),
+            shared: OnceLock::new(),
         }
     }
 

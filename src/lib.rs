@@ -89,8 +89,8 @@ pub mod prelude {
     pub use dap_relalg::{
         eval, eval_annotated, force_layout, intern, interned_count, normalize, parse_database,
         parse_pred, parse_query, schema, tuple, Annotation, Attr, Database, Fd, FdCatalog,
-        LayoutMode, MaterializedPlan, OpFootprint, ParPool, PlanRegistry, Pred, Query, QueryId,
-        RelName, Relation, Schema, SubscriberId, Sym, Tid, Tuple, Value, ViewDelta,
+        LayoutMode, OpFootprint, ParPool, PlanRegistry, Pred, Query, QueryId, RelName, Relation,
+        Schema, SubscriberId, Sym, Tid, Tuple, Value, ViewDelta,
     };
     pub use dap_serve::{Client, Response, ServeOptions, Server, ServerHandle};
 }

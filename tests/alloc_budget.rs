@@ -1,8 +1,8 @@
 //! Allocation-regression guard for the serving hot path.
 //!
-//! A counting [`GlobalAlloc`] wrapper tallies every heap allocation made by
-//! this test binary. After warm-up, a steady-state serving turn
-//! (`delete_sources` on a maintained plan plus the registry fan-out) must
+//! A counting [`GlobalAlloc`] wrapper tallies the heap allocations a test
+//! makes on its own thread while it measures. After warm-up, a
+//! steady-state serving turn (one registry `delete_sources` push) must
 //! stay under a pinned allocation budget. The budget is deliberately
 //! generous — it is a regression tripwire for "accidentally quadratic"
 //! allocation (fresh `Arc<str>` per value, maps rebuilt from scratch per
@@ -13,24 +13,44 @@
 //! Lives at the workspace root (not in `dap-relalg`) because the counting
 //! allocator needs `unsafe impl GlobalAlloc`, which the library crates
 //! forbid.
+//!
+//! Counting is per thread: the test harness runs tests concurrently, and a
+//! process-wide counter would charge one test for its siblings'
+//! allocations. Both the on/off flag and the tally are const-initialised
+//! thread-locals without destructors, so reading them from inside the
+//! allocator never allocates.
 
 use dap::prelude::*;
 use dap::provenance::WitnessesAnn;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// System allocator wrapper that counts allocation *events* (alloc and
-/// grow-realloc; frees are not counted — the budget is on acquisition).
+/// grow-realloc; frees are not counted — the budget is on acquisition)
+/// on threads that are currently measuring.
 struct CountingAlloc;
 
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Set while this thread is inside [`count_allocations`].
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Allocation events this thread made while `COUNTING` was set.
+    static EVENTS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: defers every operation verbatim to `System`; the counter is a
-// relaxed atomic increment with no other side effects.
+fn record_event() {
+    // `try_with`: the allocator also runs during thread teardown.
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = EVENTS.try_with(|e| e.set(e.get() + 1));
+    }
+}
+
+// SAFETY: defers every operation verbatim to `System`; the bookkeeping
+// only touches const-initialised, destructor-free thread-locals, which
+// neither allocate nor re-enter the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        record_event();
         System.alloc(layout)
     }
 
@@ -39,7 +59,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        record_event();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,8 +67,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn events() -> u64 {
-    ALLOC_EVENTS.load(Ordering::Relaxed)
+/// Run `f`, returning the allocation events it made on this thread.
+fn count_allocations(f: impl FnOnce()) -> u64 {
+    EVENTS.with(|e| e.set(0));
+    COUNTING.with(|c| c.set(true));
+    f();
+    COUNTING.with(|c| c.set(false));
+    EVENTS.with(Cell::get)
 }
 
 /// Fixture: R(A, B) ⋈ S(B, C) projected to (A, C), with enough rows that a
@@ -70,31 +95,27 @@ fn fixture() -> (Query, Database) {
     (q, db)
 }
 
-/// Per-turn allocation budget, in allocation events. Measured steady-state
-/// cost on the fixture is ~20 events/turn (single-tid batch through a
-/// maintained 640-row join view plus the registry fan-out — scratch maps
-/// and delta vectors are reused, so a turn only allocates for the rows it
-/// actually touches); the budget leaves ample headroom for allocator and
-/// libstd drift while still catching per-row regressions, which on this
-/// fixture cost thousands of events per turn.
+/// Per-turn allocation budget, in allocation events. A steady-state turn
+/// (single-tid batch pushed through a registry maintaining a 640-row join
+/// view — scratch maps and delta vectors are reused, so a turn only
+/// allocates for the rows it actually touches) measures ~15 events;
+/// the budget leaves ample headroom for allocator and libstd drift while
+/// still catching per-row regressions, which on this fixture cost
+/// thousands of events per turn.
 const BUDGET_PER_TURN: u64 = 400;
 
 #[test]
 fn serving_turn_allocations_stay_under_budget() {
     let (q, db) = fixture();
-    // One worker: helper threads would tally their stack/queue allocations
-    // nondeterministically into our counter.
+    // One worker: the whole push runs on (and is counted on) this thread.
     let pool = ParPool::new(1);
-    let mut plan = MaterializedPlan::<WitnessesAnn>::build_with(&q, &db, pool).unwrap();
     let mut reg = PlanRegistry::<WitnessesAnn>::with_pool(&db, pool);
     reg.register(&q).unwrap();
 
     let tids: Vec<Tid> = db.all_tids().collect();
     assert!(tids.len() >= 64, "fixture too small to measure");
     let mut turn = |tid: &Tid| {
-        let batch = [tid.clone()];
-        let _ = plan.delete_sources(&batch);
-        let _ = reg.delete_sources(&batch);
+        let _ = reg.delete_sources(std::slice::from_ref(tid));
     };
 
     // Warm up: first turns pay one-off costs (scratch growth, interner
@@ -104,11 +125,12 @@ fn serving_turn_allocations_stay_under_budget() {
     }
 
     const MEASURED_TURNS: usize = 32;
-    let before = events();
-    for tid in &tids[16..16 + MEASURED_TURNS] {
-        turn(tid);
-    }
-    let per_turn = (events() - before) / MEASURED_TURNS as u64;
+    let spent = count_allocations(|| {
+        for tid in &tids[16..16 + MEASURED_TURNS] {
+            turn(tid);
+        }
+    });
+    let per_turn = spent / MEASURED_TURNS as u64;
 
     println!("allocation events per serving turn: {per_turn} (budget {BUDGET_PER_TURN})");
     assert!(
@@ -125,12 +147,12 @@ fn serving_turn_allocations_stay_under_budget() {
 #[test]
 fn repeated_value_construction_is_allocation_free() {
     let warm = Value::str("alloc-budget-witness");
-    let before = events();
-    for _ in 0..1_000 {
-        let v = Value::str("alloc-budget-witness");
-        assert_eq!(v, warm);
-    }
-    let spent = events() - before;
+    let spent = count_allocations(|| {
+        for _ in 0..1_000 {
+            let v = Value::str("alloc-budget-witness");
+            assert_eq!(v, warm);
+        }
+    });
     assert!(
         spent <= 8,
         "1000 re-constructions of an interned string allocated {spent} times"

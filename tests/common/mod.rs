@@ -1,9 +1,17 @@
 //! Shared generators for the integration/property tests: random databases
 //! over a small fixed catalog, and a proptest strategy producing
-//! *type-correct* SPJRU queries together with their output schemas.
+//! *type-correct* SPJRU queries together with their output schemas — plus
+//! the fresh-evaluation oracle the maintained-view suites check against.
+//!
+//! Each test target compiles its own copy of this module, so items only
+//! some targets use carry `#[allow(dead_code)]`.
 
 use dap::prelude::*;
+use dap::provenance::{ExprAnn, LineageAnn, LocationsAnn, WitnessesAnn};
+use dap::relalg::Unit;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Debug;
 
 /// The catalog every generated query runs against:
 /// `R(A,B)`, `S(B,C)`, `T(A,B)`.
@@ -162,4 +170,165 @@ pub fn typed_query() -> BoxedStrategy<(Query, Schema)> {
 #[allow(dead_code)] // each test target compiles its own copy of this module
 pub fn tid_subset(db: &Database) -> Vec<Tid> {
     db.all_tids().collect()
+}
+
+/// Turn proptest index picks into concrete deletion batches over `db`.
+#[allow(dead_code)]
+pub fn pick_batches(db: &Database, picks: &[Vec<prop::sample::Index>]) -> Vec<Vec<Tid>> {
+    let pool: Vec<Tid> = db.all_tids().collect();
+    picks
+        .iter()
+        .map(|batch| {
+            batch
+                .iter()
+                .filter(|_| !pool.is_empty())
+                .map(|i| pool[i.index(pool.len())].clone())
+                .collect()
+        })
+        .collect()
+}
+
+/// The original-tid → fresh-tid renumbering left by `db.without(deleted)`:
+/// row `r` of a relation becomes `r - |deleted rows below r|`. Monotone per
+/// relation, so it preserves every ordering the carriers rely on.
+#[allow(dead_code)]
+pub fn remap_table(db: &Database, deleted: &BTreeSet<Tid>) -> BTreeMap<Tid, Tid> {
+    let mut map = BTreeMap::new();
+    for rel in db.relations() {
+        let mut fresh = 0usize;
+        for row in 0..rel.len() {
+            let tid = Tid::new(rel.name().clone(), row);
+            if deleted.contains(&tid) {
+                continue;
+            }
+            map.insert(tid, Tid::new(rel.name().clone(), fresh));
+            fresh += 1;
+        }
+    }
+    map
+}
+
+#[allow(dead_code)]
+pub fn remap_tid(map: &BTreeMap<Tid, Tid>, tid: &Tid) -> Tid {
+    map.get(tid).cloned().unwrap_or_else(|| tid.clone())
+}
+
+#[allow(dead_code)]
+pub fn remap_witnesses(map: &BTreeMap<Tid, Tid>, ws: &[Witness]) -> Vec<Witness> {
+    ws.iter()
+        .map(|w| w.iter().map(|tid| remap_tid(map, tid)).collect())
+        .collect()
+}
+
+/// Canonical, renumbering-translated form of each annotation carrier. All
+/// carriers normalize to canonical forms except `ExprAnn`, whose
+/// OR-operand order depends on derivation order; it is compared via its
+/// canonical DNF (`prime_implicants`, which equals the minimal witness
+/// basis).
+#[allow(dead_code)]
+pub trait CanonAnn: Annotation + Debug {
+    type Out: PartialEq + Debug;
+    fn canon(&self, map: &BTreeMap<Tid, Tid>) -> Self::Out;
+}
+
+impl CanonAnn for Unit {
+    type Out = ();
+    fn canon(&self, _map: &BTreeMap<Tid, Tid>) -> Self::Out {}
+}
+
+impl CanonAnn for WitnessesAnn {
+    type Out = Vec<Witness>;
+    fn canon(&self, map: &BTreeMap<Tid, Tid>) -> Self::Out {
+        remap_witnesses(map, &self.0)
+    }
+}
+
+impl CanonAnn for LocationsAnn {
+    type Out = Vec<BTreeSet<SourceLoc>>;
+    fn canon(&self, map: &BTreeMap<Tid, Tid>) -> Self::Out {
+        self.0
+            .iter()
+            .map(|cell| {
+                cell.iter()
+                    .map(|loc| SourceLoc::new(remap_tid(map, &loc.tid), loc.attr.clone()))
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+impl CanonAnn for LineageAnn {
+    type Out = BTreeSet<Tid>;
+    fn canon(&self, map: &BTreeMap<Tid, Tid>) -> Self::Out {
+        self.0.iter().map(|tid| remap_tid(map, tid)).collect()
+    }
+}
+
+impl CanonAnn for ExprAnn {
+    type Out = Vec<Witness>;
+    fn canon(&self, map: &BTreeMap<Tid, Tid>) -> Self::Out {
+        remap_witnesses(map, &self.0.prime_implicants())
+    }
+}
+
+/// A registered query's current view, cloned out in sorted order.
+#[allow(dead_code)]
+pub fn view_of<A: Annotation>(reg: &PlanRegistry<A>, id: QueryId) -> Vec<(Tuple, A)> {
+    reg.iter_query(id)
+        .map(|(t, a)| (t.clone(), a.clone()))
+        .collect()
+}
+
+/// The maintained-view oracle: `view` (a registry's view after the
+/// deletions in `deleted`, annotations in the original tid numbering)
+/// equals a fresh `eval_annotated` of `q` over `S ∖ deleted`, tuple for
+/// tuple, with annotations compared through the monotone renumbering.
+#[allow(dead_code)]
+pub fn check_matches_fresh<A: CanonAnn>(
+    view: &[(Tuple, A)],
+    q: &Query,
+    db: &Database,
+    deleted: &BTreeSet<Tid>,
+) -> Result<(), TestCaseError> {
+    let fresh = eval_annotated::<A>(q, &db.without(deleted)).expect("evaluates");
+    let maintained: Vec<&Tuple> = view.iter().map(|(t, _)| t).collect();
+    let fresh_tuples: Vec<&Tuple> = fresh.tuples().iter().collect();
+    prop_assert_eq!(maintained, fresh_tuples, "tuples diverged at {:?}", deleted);
+    let map = remap_table(db, deleted);
+    let identity = BTreeMap::new();
+    for ((t, a), fresh_a) in view.iter().zip(fresh.annotations()) {
+        prop_assert_eq!(
+            a.canon(&map),
+            fresh_a.canon(&identity),
+            "annotation diverged for {} at {:?}",
+            t,
+            deleted
+        );
+    }
+    Ok(())
+}
+
+/// A `ViewDelta` is exactly the difference between the views it separates:
+/// `removed` lists the tuples that left, `changed` the survivors whose
+/// annotation is no longer equal.
+#[allow(dead_code)]
+pub fn check_delta<A: Annotation>(
+    before: &[(Tuple, A)],
+    after: &[(Tuple, A)],
+    delta: &ViewDelta,
+) -> Result<(), TestCaseError> {
+    let now: BTreeMap<&Tuple, &A> = after.iter().map(|(t, a)| (t, a)).collect();
+    let removed: Vec<Tuple> = before
+        .iter()
+        .filter(|(t, _)| !now.contains_key(t))
+        .map(|(t, _)| t.clone())
+        .collect();
+    let changed: Vec<Tuple> = before
+        .iter()
+        .filter(|(t, a)| now.get(t).is_some_and(|b| *b != a))
+        .map(|(t, _)| t.clone())
+        .collect();
+    prop_assert_eq!(&delta.removed, &removed, "removed ≠ view diff");
+    prop_assert_eq!(&delta.changed, &changed, "changed ≠ annotation diff");
+    Ok(())
 }

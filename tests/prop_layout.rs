@@ -2,10 +2,9 @@
 //! (`dap_relalg::fingerprint`): every layout mode must be observationally
 //! identical on every serving surface.
 //!
-//! * interned/fingerprinted evaluation vs. the legacy (pre-interning)
-//!   layout vs. the forced-collision layout: plan build, `delete_sources`
-//!   maintenance, and registry fan-out produce bit-identical views, deltas
-//!   and annotations for all five annotation instances;
+//! * interned/fingerprinted evaluation vs. the forced-collision layout:
+//!   registry build and `delete_sources` maintenance produce bit-identical
+//!   views, deltas and annotations for all five annotation instances;
 //! * the persistent pool is invariant across thread counts
 //!   (`DAP_THREADS`-equivalent pools of 1, 2 and max) *composed with*
 //!   every layout mode — including `Collide`, where every fingerprint is
@@ -18,40 +17,19 @@
 
 mod common;
 
-use common::{small_database, typed_query};
+use common::{pick_batches, small_database, typed_query, view_of};
 use dap::prelude::*;
 use dap::provenance::{ExprAnn, LineageAnn, LocationsAnn, WitnessesAnn};
 use dap::relalg::{force_layout, Annotated, LayoutMode, Unit};
 use proptest::prelude::*;
 use std::fmt::Debug;
 
-/// Turn proptest index picks into concrete deletion batches over `db`.
-fn pick_batches(db: &Database, picks: &[Vec<prop::sample::Index>]) -> Vec<Vec<Tid>> {
-    let pool: Vec<Tid> = db.all_tids().collect();
-    picks
-        .iter()
-        .map(|batch| {
-            batch
-                .iter()
-                .filter(|_| !pool.is_empty())
-                .map(|i| pool[i.index(pool.len())].clone())
-                .collect()
-        })
-        .collect()
-}
+/// Everything a serving scenario observably produces: the registered
+/// view as built, then the per-batch deltas and the final view.
+type Transcript<A> = (Vec<(Tuple, A)>, Vec<ViewDelta>, Vec<(Tuple, A)>);
 
-/// Everything a serving scenario observably produces: the maintained
-/// plan's per-batch deltas and final view, and the registry fan-out's
-/// per-batch deltas and final view.
-type Transcript<A> = (
-    Vec<ViewDelta>,
-    Vec<(Tuple, A)>,
-    Vec<ViewDelta>,
-    Vec<(Tuple, A)>,
-);
-
-/// Run the full serving scenario — plan build, `delete_sources`
-/// maintenance, registry fan-out — under one layout mode and pool size.
+/// Run the full serving scenario — registry build, then `delete_sources`
+/// maintenance — under one layout mode and pool size.
 fn run_scenario<A: Annotation + Debug>(
     q: &Query,
     db: &Database,
@@ -60,13 +38,10 @@ fn run_scenario<A: Annotation + Debug>(
     threads: usize,
 ) -> Transcript<A> {
     force_layout(Some(mode));
-    let pool = ParPool::new(threads);
-    let mut plan = MaterializedPlan::<A>::build_with(q, db, pool).expect("typed query builds");
-    let plan_deltas: Vec<ViewDelta> = batches.iter().map(|b| plan.delete_sources(b)).collect();
-    let plan_view: Vec<(Tuple, A)> = plan.iter().map(|(t, a)| (t.clone(), a.clone())).collect();
-    let mut reg = PlanRegistry::<A>::with_pool(db, pool);
+    let mut reg = PlanRegistry::<A>::with_pool(db, ParPool::new(threads));
     let id = reg.register(q).expect("typed query registers");
-    let reg_deltas: Vec<ViewDelta> = batches
+    let built = view_of(&reg, id);
+    let deltas: Vec<ViewDelta> = batches
         .iter()
         .map(|b| {
             let mut per_query = reg.delete_sources(b);
@@ -74,12 +49,9 @@ fn run_scenario<A: Annotation + Debug>(
             per_query.remove(0).1
         })
         .collect();
-    let reg_view: Vec<(Tuple, A)> = reg
-        .iter_query(id)
-        .map(|(t, a)| (t.clone(), a.clone()))
-        .collect();
+    let last = view_of(&reg, id);
     force_layout(None);
-    (plan_deltas, plan_view, reg_deltas, reg_view)
+    (built, deltas, last)
 }
 
 /// The same scenario under every layout mode and pool size must transcribe
@@ -91,34 +63,23 @@ fn check_instance<A: Annotation + Debug>(
 ) -> std::result::Result<(), TestCaseError> {
     let max_threads = std::thread::available_parallelism().map_or(2, |n| n.get());
     let reference = run_scenario::<A>(q, db, batches, LayoutMode::Fingerprint, 1);
-    for mode in [
-        LayoutMode::Fingerprint,
-        LayoutMode::Legacy,
-        LayoutMode::Collide,
-    ] {
+    for mode in [LayoutMode::Fingerprint, LayoutMode::Collide] {
         for threads in [1, 2, max_threads] {
             let got = run_scenario::<A>(q, db, batches, mode, threads);
+            prop_assert!(
+                got.0 == reference.0,
+                "built view diverged under {mode:?} x{threads}"
+            );
             prop_assert_eq!(
-                &got.0,
-                &reference.0,
-                "plan deltas diverged under {:?} x{}",
+                &got.1,
+                &reference.1,
+                "deltas diverged under {:?} x{}",
                 mode,
                 threads
             );
             prop_assert!(
-                got.1 == reference.1,
-                "plan view diverged under {mode:?} x{threads}"
-            );
-            prop_assert_eq!(
-                &got.2,
-                &reference.2,
-                "registry deltas diverged under {:?} x{}",
-                mode,
-                threads
-            );
-            prop_assert!(
-                got.3 == reference.3,
-                "registry view diverged under {mode:?} x{threads}"
+                got.2 == reference.2,
+                "maintained view diverged under {mode:?} x{threads}"
             );
         }
     }
@@ -128,10 +89,9 @@ fn check_instance<A: Annotation + Debug>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Fingerprinted, legacy and forced-collision layouts — crossed with
-    /// pool sizes 1, 2 and max — are bit-identical on plan build,
-    /// incremental maintenance and registry fan-out, for all five
-    /// annotation instances.
+    /// Fingerprinted and forced-collision layouts — crossed with pool
+    /// sizes 1, 2 and max — are bit-identical on registry build and
+    /// incremental maintenance, for all five annotation instances.
     #[test]
     fn every_layout_and_pool_size_is_bit_identical(
         (q, _schema) in typed_query(),
@@ -147,9 +107,9 @@ proptest! {
         check_instance::<ExprAnn>(&q, &db, &batches)?;
     }
 
-    /// One-shot annotated evaluation (build + consume) is also mode- and
-    /// thread-invariant: `eval_annotated`'s output under the collision and
-    /// legacy layouts equals the fingerprinted default.
+    /// One-shot annotated evaluation (build + consume) is also
+    /// layout-invariant: `eval_annotated`'s output under the collision
+    /// layout equals the fingerprinted default.
     #[test]
     fn one_shot_evaluation_is_layout_invariant(
         (q, _schema) in typed_query(),
@@ -157,21 +117,17 @@ proptest! {
     ) {
         force_layout(Some(LayoutMode::Fingerprint));
         let reference = eval_annotated::<WitnessesAnn>(&q, &db);
-        force_layout(Some(LayoutMode::Legacy));
-        let legacy = eval_annotated::<WitnessesAnn>(&q, &db);
         force_layout(Some(LayoutMode::Collide));
         let collide = eval_annotated::<WitnessesAnn>(&q, &db);
         force_layout(None);
         let dump = |view: Annotated<WitnessesAnn>| -> Vec<(Tuple, WitnessesAnn)> {
             view.iter().map(|(t, a)| (t.clone(), a.clone())).collect()
         };
-        match (reference, legacy, collide) {
-            (Ok(reference), Ok(legacy), Ok(collide)) => {
-                let (reference, legacy, collide) = (dump(reference), dump(legacy), dump(collide));
-                prop_assert!(legacy == reference, "legacy one-shot diverged");
-                prop_assert!(collide == reference, "collide one-shot diverged");
+        match (reference, collide) {
+            (Ok(reference), Ok(collide)) => {
+                prop_assert!(dump(collide) == dump(reference), "collide one-shot diverged");
             }
-            (Err(_), Err(_), Err(_)) => {}
+            (Err(_), Err(_)) => {}
             _ => prop_assert!(false, "layout modes disagreed about evaluability"),
         }
     }

@@ -1,179 +1,61 @@
-//! Differential property tests for the **materialized pipeline**
-//! (`dap_relalg::MaterializedPlan`) and the maintained `DeletionContext`:
+//! Differential property tests for **maintained views** (a one-query
+//! `dap_relalg::PlanRegistry`) and the maintained `DeletionContext`:
 //!
 //! * under random deletion sequences over random `(Q, S)`, the maintained
-//!   plan's output must equal a fresh `eval_annotated` of the shrunken
-//!   database after **every** step, for all five annotation instances;
-//! * the `ViewDelta` each step reports must be exactly the set difference
+//!   view must equal a fresh `eval_annotated` of the shrunken database
+//!   after **every** step, for all five annotation instances;
+//! * the `ViewDelta` each step reports must be exactly the difference
 //!   between consecutive views;
 //! * `DeletionContext::resolve_after_delete` (apply-and-re-solve on the
 //!   maintained state) must return exactly what a context rebuilt from
 //!   scratch on the deleted-from database returns.
 //!
 //! The one wrinkle is *renumbering*: fresh evaluations of `S \ T` re-pack
-//! row indices, while the maintained plan keeps the original [`Tid`]s.
+//! row indices, while the registry keeps the original [`Tid`]s.
 //! `Database::without` preserves relative row order, so the renumbering is
-//! the monotone (hence order-preserving) map built by [`remap_table`];
-//! maintained annotations are translated through it before comparison.
-//! All carriers normalize to canonical forms, so equality after
-//! translation is exact — except `ExprAnn`, whose OR-operand order is
-//! derivation-order dependent; it is compared via its canonical DNF
-//! (`prime_implicants`, which equals the minimal witness basis).
+//! the monotone (hence order-preserving) map built by
+//! `common::remap_table`; maintained annotations are translated through it
+//! before comparison (`common::check_matches_fresh`).
 
 mod common;
 
-use common::{small_database, typed_query};
+use common::{
+    check_delta, check_matches_fresh, pick_batches, remap_table, remap_tid, remap_witnesses,
+    small_database, typed_query, view_of, CanonAnn,
+};
 use dap::prelude::*;
-use dap::provenance::{ExprAnn, LineageAnn, LocationsAnn, SourceLoc, WitnessesAnn};
+use dap::provenance::{ExprAnn, LineageAnn, LocationsAnn, WitnessesAnn};
 use dap::relalg::Unit;
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Debug;
-
-/// The original-tid → fresh-tid renumbering left by `db.without(deleted)`:
-/// row `r` of a relation becomes `r - |deleted rows below r|`. Monotone per
-/// relation, so it preserves every ordering the carriers rely on.
-fn remap_table(db: &Database, deleted: &BTreeSet<Tid>) -> BTreeMap<Tid, Tid> {
-    let mut map = BTreeMap::new();
-    for rel in db.relations() {
-        let mut fresh = 0usize;
-        for row in 0..rel.len() {
-            let tid = Tid::new(rel.name().clone(), row);
-            if deleted.contains(&tid) {
-                continue;
-            }
-            map.insert(tid, Tid::new(rel.name().clone(), fresh));
-            fresh += 1;
-        }
-    }
-    map
-}
-
-fn remap_tid(map: &BTreeMap<Tid, Tid>, tid: &Tid) -> Tid {
-    map.get(tid).cloned().unwrap_or_else(|| tid.clone())
-}
-
-fn remap_witnesses(map: &BTreeMap<Tid, Tid>, ws: &[Witness]) -> Vec<Witness> {
-    ws.iter()
-        .map(|w| w.iter().map(|tid| remap_tid(map, tid)).collect())
-        .collect()
-}
-
-/// Canonical, renumbering-translated form of each annotation carrier.
-trait CanonAnn: Annotation + Debug {
-    type Out: PartialEq + Debug;
-    fn canon(&self, map: &BTreeMap<Tid, Tid>) -> Self::Out;
-}
-
-impl CanonAnn for Unit {
-    type Out = ();
-    fn canon(&self, _map: &BTreeMap<Tid, Tid>) -> Self::Out {}
-}
-
-impl CanonAnn for WitnessesAnn {
-    type Out = Vec<Witness>;
-    fn canon(&self, map: &BTreeMap<Tid, Tid>) -> Self::Out {
-        remap_witnesses(map, &self.0)
-    }
-}
-
-impl CanonAnn for LocationsAnn {
-    type Out = Vec<BTreeSet<SourceLoc>>;
-    fn canon(&self, map: &BTreeMap<Tid, Tid>) -> Self::Out {
-        self.0
-            .iter()
-            .map(|cell| {
-                cell.iter()
-                    .map(|loc| SourceLoc::new(remap_tid(map, &loc.tid), loc.attr.clone()))
-                    .collect()
-            })
-            .collect()
-    }
-}
-
-impl CanonAnn for LineageAnn {
-    type Out = BTreeSet<Tid>;
-    fn canon(&self, map: &BTreeMap<Tid, Tid>) -> Self::Out {
-        self.0.iter().map(|tid| remap_tid(map, tid)).collect()
-    }
-}
-
-impl CanonAnn for ExprAnn {
-    type Out = Vec<Witness>;
-    fn canon(&self, map: &BTreeMap<Tid, Tid>) -> Self::Out {
-        remap_witnesses(map, &self.0.prime_implicants())
-    }
-}
-
-/// The empty map: fresh annotations are already in the fresh numbering.
-fn identity() -> BTreeMap<Tid, Tid> {
-    BTreeMap::new()
-}
+use std::collections::BTreeSet;
 
 /// Drive one `(Q, S)` instance through a deletion sequence, comparing the
-/// maintained plan against fresh evaluation after every batch.
+/// maintained view against fresh evaluation after every batch.
 fn check_instance<A: CanonAnn>(
     q: &Query,
     db: &Database,
     batches: &[Vec<Tid>],
 ) -> std::result::Result<(), TestCaseError> {
-    let mut plan = MaterializedPlan::<A>::build(q, db).expect("typed queries build");
+    let mut reg = PlanRegistry::<A>::new(db);
+    let id = reg.register(q).expect("typed queries register");
     let mut deleted: BTreeSet<Tid> = BTreeSet::new();
-    let mut prev_tuples: BTreeSet<Tuple> = plan.iter().map(|(t, _)| t.clone()).collect();
+    let mut before = view_of(&reg, id);
     for batch in batches {
-        let delta = plan.delete_sources(batch);
+        let delta = reg.delete_sources(batch).remove(0).1;
         deleted.extend(batch.iter().cloned());
-
-        // The delta is exactly the view difference.
-        let now_tuples: BTreeSet<Tuple> = plan.iter().map(|(t, _)| t.clone()).collect();
-        let expected_removed: Vec<Tuple> = prev_tuples.difference(&now_tuples).cloned().collect();
-        prop_assert_eq!(&delta.removed, &expected_removed, "removed ≠ view diff");
-        for t in &delta.changed {
-            prop_assert!(now_tuples.contains(t), "changed tuple {} left the view", t);
-        }
-        prev_tuples = now_tuples;
-
-        // The maintained view equals a fresh evaluation of S \ T.
-        let fresh = eval_annotated::<A>(q, &db.without(&deleted)).expect("evaluates");
-        let maintained: Vec<&Tuple> = plan.iter().map(|(t, _)| t).collect();
-        let fresh_tuples: Vec<&Tuple> = fresh.tuples().iter().collect();
-        prop_assert_eq!(maintained, fresh_tuples, "tuples diverged at {:?}", deleted);
-        let map = remap_table(db, &deleted);
-        let id = identity();
-        for (t, a) in plan.iter() {
-            let fresh_a = fresh.annotation_of(t).expect("tuple sets match");
-            prop_assert_eq!(
-                a.canon(&map),
-                fresh_a.canon(&id),
-                "annotation diverged for {} at {:?}",
-                t,
-                deleted
-            );
-        }
+        let after = view_of(&reg, id);
+        check_delta(&before, &after, &delta)?;
+        check_matches_fresh(&after, q, db, &deleted)?;
+        before = after;
     }
     Ok(())
-}
-
-/// Turn proptest index picks into concrete deletion batches over `db`.
-fn pick_batches(db: &Database, picks: &[Vec<prop::sample::Index>]) -> Vec<Vec<Tid>> {
-    let pool: Vec<Tid> = db.all_tids().collect();
-    picks
-        .iter()
-        .map(|batch| {
-            batch
-                .iter()
-                .filter(|_| !pool.is_empty())
-                .map(|i| pool[i.index(pool.len())].clone())
-                .collect()
-        })
-        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Maintained `MaterializedPlan` output equals fresh `eval_annotated`
-    /// after every deletion step, for all five annotation instances.
+    /// A maintained view equals fresh `eval_annotated` after every
+    /// deletion step, for all five annotation instances.
     #[test]
     fn maintained_plan_tracks_fresh_eval_for_all_instances(
         (q, _) in typed_query(),

@@ -2,8 +2,9 @@
 //! pool-sharded code path must be **bit-identical** to its sequential
 //! counterpart.
 //!
-//! * [`MaterializedPlan::build_with`] across thread counts {1, 2, max},
-//!   for all five annotation instances (tuples *and* annotations);
+//! * registry builds (`PlanRegistry::with_pool` + `register`) across
+//!   thread counts {1, 2, max}, for all five annotation instances (tuples
+//!   *and* annotations);
 //! * the branch-and-bound's first-level fan-out
 //!   (`min_view_side_effects_on_par`) against the sequential search;
 //! * the batched dichotomy dispatchers (`*_many_with`) for both solver
@@ -24,7 +25,7 @@ use dap::core::deletion::view_side_effect::{
 };
 use dap::prelude::*;
 use dap::provenance::{ExprAnn, LineageAnn, LocationsAnn, WitnessesAnn};
-use dap::relalg::Unit;
+use dap::relalg::{Annotated, Unit};
 use proptest::prelude::*;
 
 /// The pool sizes every differential runs across (1 = the exact
@@ -35,13 +36,18 @@ fn pools() -> [ParPool; 3] {
     [ParPool::sequential(), ParPool::new(2), ParPool::new(auto)]
 }
 
-/// Parallel and sequential plan builds agree exactly for carrier `A`.
+/// The view `q` registers as in a one-query registry built on `pool`.
+fn built_view<A: Annotation>(q: &Query, db: &Database, pool: ParPool) -> Annotated<A> {
+    let mut reg = PlanRegistry::<A>::with_pool(db, pool);
+    let id = reg.register(q).unwrap();
+    reg.snapshot(id)
+}
+
+/// Parallel and sequential registry builds agree exactly for carrier `A`.
 fn assert_build_pool_invariant<A: Annotation + std::fmt::Debug>(q: &Query, db: &Database) {
-    let seq = MaterializedPlan::<A>::build_with(q, db, ParPool::sequential()).unwrap();
-    let seq = seq.snapshot();
+    let seq = built_view::<A>(q, db, ParPool::sequential());
     for pool in pools().into_iter().skip(1) {
-        let par = MaterializedPlan::<A>::build_with(q, db, pool).unwrap();
-        let par = par.snapshot();
+        let par = built_view::<A>(q, db, pool);
         assert_eq!(seq.tuples(), par.tuples(), "{} threads", pool.threads());
         assert_eq!(
             seq.annotations(),
@@ -53,7 +59,7 @@ fn assert_build_pool_invariant<A: Annotation + std::fmt::Debug>(q: &Query, db: &
 }
 
 /// A `(Q, S)` pair big enough to cross the data-parallel grain (the
-/// proptest databases stay tiny, exercising only the subtree fan-out).
+/// proptest databases stay tiny, below it).
 fn large_fixture() -> (Query, Database) {
     let users = 20;
     let groups = 8;
@@ -102,8 +108,9 @@ fn large_parallel_search_identical() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Plan construction is pool-invariant for every annotation carrier
-    /// (tiny databases: this exercises the parallel subtree builds).
+    /// Registry construction is pool-invariant for every annotation
+    /// carrier (tiny databases: shape coverage for the sequential
+    /// fallbacks of every sharded kernel).
     #[test]
     fn parallel_build_identical_for_all_instances(
         (q, _) in typed_query(),

@@ -1,65 +1,37 @@
 //! Differential property tests for the **shared-plan registry**
 //! (`dap_relalg::PlanRegistry`): a registry serving N standing queries
-//! over one hash-consed DAG must be observationally identical to N
-//! independently maintained `MaterializedPlan`s.
+//! over one hash-consed DAG must keep every query's view equal to a fresh
+//! evaluation of the deleted-from database.
 //!
 //! * under random deletion batches over random `(Q₁..Qₙ, S)`, every
-//!   registered query's per-batch `ViewDelta` and its full annotated view
-//!   must equal its independent plan's, after **every** batch, for all
-//!   five annotation instances (the registry never renumbers tids, so
-//!   annotations compare exactly — no translation needed);
+//!   registered query's full annotated view must equal a fresh
+//!   `eval_annotated` over `S ∖ committed` after **every** batch, for all
+//!   five annotation instances (annotations compared through the monotone
+//!   tid renumbering `S ∖ committed` applies — see `common::remap_table`),
+//!   and each per-batch `ViewDelta` must be exactly the difference between
+//!   consecutive views;
 //! * queries registered **mid-stream** (after deletions committed) must
-//!   come up equal to an independent plan that replayed the committed
-//!   prefix, and unregistering must not disturb the surviving queries;
-//! * a registry-backed `DeletionContext` must track an owned-plan context
-//!   commit for commit — same deltas, same why-provenance, same committed
-//!   set.
+//!   come up equal to the fresh evaluation of the committed prefix, and
+//!   unregistering must not disturb the surviving queries;
+//! * a registry-backed `DeletionContext` must track a context over its own
+//!   private registry commit for commit — same deltas, same
+//!   why-provenance, same committed set.
 
 mod common;
 
-use common::{small_database, typed_query};
+use common::{
+    check_delta, check_matches_fresh, pick_batches, small_database, typed_query, view_of, CanonAnn,
+};
 use dap::prelude::*;
 use dap::provenance::{ExprAnn, LineageAnn, LocationsAnn, WitnessesAnn};
 use dap::relalg::Unit;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::fmt::Debug;
 
-/// Turn proptest index picks into concrete deletion batches over `db`.
-fn pick_batches(db: &Database, picks: &[Vec<prop::sample::Index>]) -> Vec<Vec<Tid>> {
-    let pool: Vec<Tid> = db.all_tids().collect();
-    picks
-        .iter()
-        .map(|batch| {
-            batch
-                .iter()
-                .filter(|_| !pool.is_empty())
-                .map(|i| pool[i.index(pool.len())].clone())
-                .collect()
-        })
-        .collect()
-}
-
-/// One registered query's view equals its independent plan's — tuples and
-/// annotations, in iteration order.
-fn assert_view_matches<A: Annotation>(
-    reg: &PlanRegistry<A>,
-    id: QueryId,
-    plan: &MaterializedPlan<A>,
-) -> std::result::Result<(), TestCaseError> {
-    let shared: Vec<(&Tuple, &A)> = reg.iter_query(id).collect();
-    let independent: Vec<(&Tuple, &A)> = plan.iter().collect();
-    prop_assert_eq!(shared.len(), independent.len(), "view size for {}", id);
-    for ((st, sa), (it, ia)) in shared.iter().zip(&independent) {
-        prop_assert_eq!(*st, *it, "tuples diverged for {}", id);
-        prop_assert!(*sa == *ia, "annotation diverged for {} at {}", id, st);
-    }
-    Ok(())
-}
-
-/// Drive N queries through a deletion sequence on one shared registry and
-/// on N independent plans, comparing deltas and views after every batch.
-fn check_instance<A: Annotation + Debug>(
+/// Drive N queries through a deletion sequence on one shared registry,
+/// checking every query's delta and view against fresh evaluation after
+/// every batch.
+fn check_instance<A: CanonAnn>(
     queries: &[Query],
     db: &Database,
     batches: &[Vec<Tid>],
@@ -69,21 +41,16 @@ fn check_instance<A: Annotation + Debug>(
         .iter()
         .map(|q| reg.register(q).expect("typed queries register"))
         .collect();
-    let mut plans: Vec<MaterializedPlan<A>> = queries
-        .iter()
-        .map(|q| MaterializedPlan::<A>::build(q, db).expect("typed queries build"))
-        .collect();
+    let mut views: Vec<Vec<(Tuple, A)>> = ids.iter().map(|&id| view_of(&reg, id)).collect();
     for batch in batches {
         let deltas = reg.delete_sources(batch);
         prop_assert_eq!(deltas.len(), ids.len(), "one delta per registered query");
         // `delete_sources` reports in QueryId (= registration) order.
-        for ((id, shared), plan) in deltas.iter().zip(plans.iter_mut()) {
-            let independent = plan.delete_sources(batch);
-            prop_assert_eq!(&shared.removed, &independent.removed, "removed for {}", id);
-            prop_assert_eq!(&shared.changed, &independent.changed, "changed for {}", id);
-        }
-        for (id, plan) in ids.iter().zip(&plans) {
-            assert_view_matches(&reg, *id, plan)?;
+        for (((id, delta), q), before) in deltas.iter().zip(queries).zip(&mut views) {
+            let after = view_of(&reg, *id);
+            check_delta(before, &after, delta)?;
+            check_matches_fresh(&after, q, db, reg.committed())?;
+            *before = after;
         }
     }
     Ok(())
@@ -92,10 +59,10 @@ fn check_instance<A: Annotation + Debug>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Shared-registry maintenance equals N independent plans after every
+    /// Shared-registry maintenance equals fresh evaluation after every
     /// deletion batch, for all five annotation instances.
     #[test]
-    fn registry_matches_independent_plans_for_all_instances(
+    fn registry_matches_fresh_eval_for_all_instances(
         qs in proptest::collection::vec(typed_query(), 1..4),
         db in small_database(),
         picks in proptest::collection::vec(
@@ -111,8 +78,8 @@ proptest! {
     }
 
     /// Mid-stream registrations replay the committed prefix (coming up
-    /// equal to an independent plan that saw every earlier batch), and
-    /// unregistering one query never disturbs the survivors.
+    /// equal to a fresh evaluation of it), and unregistering one query
+    /// never disturbs the survivors.
     #[test]
     fn register_and_unregister_mid_stream_stay_consistent(
         qs in proptest::collection::vec(typed_query(), 2..4),
@@ -130,10 +97,9 @@ proptest! {
         let mut survivors = Vec::new();
         for q in &queries[1..] {
             let id = reg.register(q).expect("registers mid-stream");
-            let mut plan = MaterializedPlan::<WitnessesAnn>::build(q, &db).expect("builds");
-            plan.delete_sources(&batches[0]);
-            assert_view_matches(&reg, id, &plan)?;
-            survivors.push((id, plan));
+            let view = view_of(&reg, id);
+            check_matches_fresh(&view, q, &db, reg.committed())?;
+            survivors.push((id, q, view));
         }
         // Unregistering the founding query leaves the late joiners intact —
         // through every remaining batch.
@@ -142,25 +108,23 @@ proptest! {
         for batch in &batches[1..] {
             let deltas = reg.delete_sources(batch);
             prop_assert_eq!(deltas.len(), survivors.len());
-            for (id, plan) in &mut survivors {
-                let independent = plan.delete_sources(batch);
-                let shared = &deltas
+            for (id, q, before) in &mut survivors {
+                let delta = &deltas
                     .iter()
-                    .find(|(q, _)| q == id)
+                    .find(|(qid, _)| qid == id)
                     .expect("survivor keeps its delta stream")
                     .1;
-                prop_assert_eq!(&shared.removed, &independent.removed, "removed for {}", id);
-                prop_assert_eq!(&shared.changed, &independent.changed, "changed for {}", id);
+                let after = view_of(&reg, *id);
+                check_delta(before, &after, delta)?;
+                check_matches_fresh(&after, q, &db, reg.committed())?;
+                *before = after;
             }
-        }
-        for (id, plan) in &survivors {
-            assert_view_matches(&reg, *id, plan)?;
         }
     }
 
-    /// A registry-backed `DeletionContext` tracks an owned-plan context
-    /// commit for commit: same per-batch deltas, same why-provenance, same
-    /// committed set.
+    /// A registry-backed `DeletionContext` tracks a context over its own
+    /// private registry commit for commit: same per-batch deltas, same
+    /// why-provenance, same committed set.
     #[test]
     fn registry_backed_context_matches_owned_context(
         (q, _) in typed_query(),
