@@ -28,9 +28,9 @@
 //! the speedup numbers can't silently go wrong). The acceptance bar is a
 //! ≥4× speedup at N=16 overlapping queries.
 //!
-//! Both stacks run on the sequential pool: the bench isolates the
-//! *sharing* win (the thread-scaling win is `report_parallel`'s job), and
-//! a one-thread registry takes the exact sequential code paths.
+//! Both stacks run on the sequential pool, so the bench isolates the
+//! *sharing* win from build sharding, and a one-thread registry takes the
+//! exact sequential code paths.
 
 use dap_bench::{maintenance_deletion_sequence, shared_query_family, speedup_ratio, SpeedupRow};
 use dap_provenance::WitnessesAnn;

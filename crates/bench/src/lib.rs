@@ -99,62 +99,6 @@ pub fn sj_workload(seed: u64, size: usize) -> DeletionWorkload {
     DeletionWorkload { db, query, target }
 }
 
-/// A **join-heavy** workload for the hot-path layout bench: `R(A, K1, K2)
-/// ⋈ S(K1, K2, C)` on a two-column key of long strings, with only one row
-/// in sixteen finding a partner. Nearly all of the plan-build cost is the
-/// join table build and probe — per-row key construction and hashing —
-/// because misses produce no output rows and the few hits carry trivial
-/// annotation work. This is the shape where key layout (allocated
-/// content-hashed `Vec<&Value>` vs one fingerprint word) is the whole
-/// story, which is exactly what `report_hotpath` wants to isolate.
-pub fn selective_join_workload(seed: u64, size: usize) -> DeletionWorkload {
-    let mut r = rng(seed);
-    let key_pair = |tag: &str, i: usize, r: &mut StdRng| -> (Value, Value) {
-        let (salt_a, salt_b) = (
-            r.gen_range(0..u64::from(u32::MAX)),
-            r.gen_range(0..u64::from(u32::MAX)),
-        );
-        (
-            Value::str(format!("{tag}-first-key-{i:08}-{salt_a:08x}")),
-            Value::str(format!("{tag}-second-key-{i:08}-{salt_b:08x}")),
-        )
-    };
-    let shared_pair = |i: usize| -> (Value, Value) {
-        (
-            Value::str(format!("shared-first-key-{i:08}-padpadpad")),
-            Value::str(format!("shared-second-key-{i:08}-padpadpad")),
-        )
-    };
-    let rows_r: Vec<Tuple> = (0..size)
-        .map(|i| {
-            let (k1, k2) = if i % 16 == 0 {
-                shared_pair(i)
-            } else {
-                key_pair("left", i, &mut r)
-            };
-            Tuple::new([Value::str(format!("a{i}")), k1, k2])
-        })
-        .collect();
-    let rows_s: Vec<Tuple> = (0..size)
-        .map(|i| {
-            let (k1, k2) = if i % 16 == 0 {
-                shared_pair(i)
-            } else {
-                key_pair("right", i, &mut r)
-            };
-            Tuple::new([k1, k2, Value::str(format!("c{i}"))])
-        })
-        .collect();
-    let db = Database::from_relations(vec![
-        Relation::new("R", schema(["A", "K1", "K2"]), rows_r).expect("arity"),
-        Relation::new("S", schema(["K1", "K2", "C"]), rows_s).expect("arity"),
-    ])
-    .expect("names");
-    let query = Query::scan("R").join(Query::scan("S"));
-    let target = eval(&query, &db).expect("evaluates").tuples[0].clone();
-    DeletionWorkload { db, query, target }
-}
-
 /// A chain-join workload: `Π_{A0,Ak}(R1 ⋈ … ⋈ Rk)` with `width` tuples per
 /// layer and join values drawn from a small domain so paths multiply.
 pub fn chain_workload(seed: u64, layers: usize, width: usize) -> DeletionWorkload {
@@ -260,22 +204,6 @@ pub fn pj_multiwitness_workload(users: usize, groups: usize, files: usize) -> De
     }
 }
 
-/// A generic (PJ) placement workload whose target location has `groups`
-/// candidate source locations: every user is in every group and every file
-/// is shared by every group, so `(u0, f0).user` is reachable from all of
-/// u0's `UserGroup` rows. This is the shape where the batched one-pass
-/// placement engine beats the per-candidate multipass by ~`groups`× — the
-/// `engine_vs_multipass` bench and `report_engine` binary measure exactly
-/// that.
-pub fn generic_placement_workload(users: usize, groups: usize, files: usize) -> PlacementWorkload {
-    let w = pj_multiwitness_workload(users, groups, files);
-    PlacementWorkload {
-        target: ViewLoc::new(w.target.clone(), "user"),
-        db: w.db,
-        query: w.query,
-    }
-}
-
 /// A family of `n` standing queries over one user/group/file database
 /// that share a heavy core: query 0 **is** the PJ core
 /// `Π_{user,file}(UserGroup ⋈ GroupFile)` of
@@ -327,8 +255,8 @@ pub fn speedup_ratio(slow: Duration, fast: Duration) -> f64 {
 /// and fast timings, and their [`speedup_ratio`].
 pub type SpeedupRow = (usize, usize, Duration, Duration, f64);
 
-/// Render the shared `BENCH_*.json` shape of the speedup report binaries
-/// (`report_engine`, `report_solver`): one object per row keyed by
+/// Render the `BENCH_*.json` shape of a speedup report
+/// (`report_maintenance`): one object per row keyed by
 /// `keys = [size_a, size_b, slow_ns, fast_ns]`, plus the minimum speedup
 /// across rows as the headline `min_speedup` field.
 pub fn render_speedup_json(bench: &str, keys: [&str; 4], rows: &[SpeedupRow]) -> String {
@@ -386,14 +314,6 @@ mod tests {
         assert!(view.contains(&w.target));
         let fp = dap_relalg::OpFootprint::of(&w.query);
         assert!(fp.is_sj());
-    }
-
-    #[test]
-    fn selective_join_matches_one_in_sixteen() {
-        let w = selective_join_workload(7, 160);
-        let view = eval(&w.query, &w.db).unwrap();
-        assert_eq!(view.len(), 10, "only the shared keys pair up");
-        assert!(view.contains(&w.target));
     }
 
     #[test]

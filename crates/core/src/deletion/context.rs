@@ -120,40 +120,21 @@ pub struct DeletionContext {
     /// touched the index's structure, so repeat targets skip the
     /// re-stamp from the touch skeleton entirely.
     index_cache: HashMap<Tuple, WitnessIndex>,
-    /// Sharding policy for materialization and the solver entry points.
-    pool: ParPool,
 }
 
 impl DeletionContext {
     /// Materialize the context over a private one-query registry: one
-    /// annotated build plus one pass over the witness lists, sharded over
-    /// the process-default [`ParPool`].
+    /// annotated build plus one pass over the witness lists. Both are
+    /// one-time builds and shard over the process-default [`ParPool`] once
+    /// the input crosses the build grain; the context is identical for
+    /// every pool size.
     pub fn new(query: &Query, db: &Database) -> Result<DeletionContext> {
         DeletionContext::new_shared(Arc::new(query.clone()), Arc::new(db.clone()))
     }
 
-    /// [`DeletionContext::new`] with an explicit pool (the context keeps it
-    /// for its solver entry points; identical results for every pool size).
-    pub fn new_with(query: &Query, db: &Database, pool: ParPool) -> Result<DeletionContext> {
-        DeletionContext::new_shared_with(Arc::new(query.clone()), Arc::new(db.clone()), pool)
-    }
-
     /// Like [`DeletionContext::new`], from shared handles.
     pub fn new_shared(query: Arc<Query>, db: Arc<Database>) -> Result<DeletionContext> {
-        DeletionContext::new_shared_with(query, db, ParPool::global())
-    }
-
-    /// [`DeletionContext::new_shared`] with an explicit pool: the operator
-    /// builds shard row-by-row, and the witness flattening that feeds the
-    /// why-provenance and the touch skeleton maps per view tuple; skeleton
-    /// assembly stays sequential, so the context is identical for every
-    /// pool size.
-    pub fn new_shared_with(
-        query: Arc<Query>,
-        db: Arc<Database>,
-        pool: ParPool,
-    ) -> Result<DeletionContext> {
-        let mut reg = PlanRegistry::new_shared_with(db, pool);
+        let mut reg = PlanRegistry::new_shared(db);
         let mut ctx = DeletionContext::registered(&mut reg, query)?;
         ctx.own = Some(reg);
         Ok(ctx)
@@ -204,7 +185,6 @@ impl DeletionContext {
             touching: sk.touching,
             committed: reg.committed().clone(),
             index_cache: HashMap::new(),
-            pool: reg.pool(),
         })
     }
 
@@ -290,11 +270,6 @@ impl DeletionContext {
     /// Every source tuple deleted through this context so far.
     pub fn committed(&self) -> &BTreeSet<Tid> {
         &self.committed
-    }
-
-    /// The sharding policy this context was built with.
-    pub fn pool(&self) -> ParPool {
-        self.pool
     }
 
     /// Number of per-target indexes currently kept warm by the `*_turn`

@@ -9,18 +9,11 @@
 //!   backtrack), so each node costs `O(occurrences of the branched tid)`
 //!   instead of a full hypergraph rescan, and branch choices are ordered by
 //!   their `O(occ)` incremental side-effect delta (fail-first on cost).
+//!   The search runs on the calling thread: a solve is one engine turn,
+//!   and turns are sequential.
 //! * [`side_effect_free`] decides the paper's headline question — "is there
 //!   a side-effect-free deletion?" — by running the same search capped at
 //!   zero side effects.
-//! * [`min_view_side_effects_on_par`] fans the search's **first level**
-//!   out across a [`ParPool`]: sibling branches are independent given a
-//!   cloned index, so each explores its subtree concurrently under the
-//!   sequential exclusion discipline, sharing one atomic best bound whose
-//!   strictly-worse-only pruning keeps the combined answer identical to
-//!   the sequential search (see `run_search_parallel`'s proof sketch).
-//!   The [`DeletionContext`] entry points use it automatically for big
-//!   enough instances; `DAP_THREADS=1` (or a small support) falls back to
-//!   the sequential path verbatim.
 //! * [`DeletionContext::min_view_side_effects_turn`] is the serving-loop
 //!   variant: it solves on the target's cached, in-place-patched
 //!   [`WitnessIndex`] instead of re-stamping one per turn, and
@@ -30,17 +23,15 @@
 //!   the polynomial algorithms for the tractable classes.
 //! * `min_view_side_effects_naive` (cargo feature `legacy-oracles`) runs
 //!   the identical search with the original per-node
-//!   [`DeletionInstance::side_effect_count`] rescans — the baseline of the
-//!   `solver_incremental` bench and the differential property tests. Both
-//!   drive the same skeleton, so they explore the same tree and return
-//!   **identical** solutions.
+//!   [`DeletionInstance::side_effect_count`] rescans — the oracle of the
+//!   differential property tests. Both drive the same skeleton, so they
+//!   explore the same tree and return **identical** solutions.
 
 use crate::deletion::index::WitnessIndex;
 use crate::deletion::{Deletion, DeletionContext, DeletionInstance};
 use crate::error::{CoreError, Result};
-use dap_relalg::{normalize, output_schema, Database, OpFootprint, ParPool, Query, Tid, Tuple};
+use dap_relalg::{normalize, output_schema, Database, OpFootprint, Query, Tid, Tuple};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Knobs for the exact exponential search.
 #[derive(Clone, Copy, Debug)]
@@ -79,17 +70,8 @@ pub fn min_view_side_effects(
 /// [`min_view_side_effects`], but every node recomputes the side-effect
 /// count (and every branch-ordering delta probe) with a full
 /// [`DeletionInstance::side_effect_count`] hypergraph rescan. Kept as the
-/// differential-test oracle and the `solver_incremental` bench baseline
-/// (cargo feature `legacy-oracles`, like every other oracle path);
-/// identical traversal ⇒ identical solutions.
-///
-/// Note the cost model: this baseline answers every side-effect *question*
-/// of the delta-ordered search by rescanning — one rescan per node plus
-/// two per branch probe. The pre-index solver ordered branches by witness
-/// width and paid exactly one rescan per node; the bench ratio therefore
-/// measures the per-question cost gap under the shared search shape (the
-/// shape the identical-solutions guarantee requires), not a like-for-like
-/// race against the historical width-ordered search.
+/// differential-test oracle (cargo feature `legacy-oracles`, like every
+/// other oracle path); identical traversal ⇒ identical solutions.
 #[cfg(feature = "legacy-oracles")]
 pub fn min_view_side_effects_naive(
     q: &Query,
@@ -98,19 +80,7 @@ pub fn min_view_side_effects_naive(
     opts: &ExactOptions,
 ) -> Result<Deletion> {
     let inst = DeletionInstance::build(q, db, target)?;
-    min_view_side_effects_naive_on(&inst, opts)
-}
-
-/// [`min_view_side_effects_naive`] on a prebuilt instance — lets the
-/// `solver_incremental` bench time the search alone, with the provenance
-/// materialization hoisted out of both paths (the incremental side is
-/// [`min_view_side_effects_on`]).
-#[cfg(feature = "legacy-oracles")]
-pub fn min_view_side_effects_naive_on(
-    inst: &DeletionInstance,
-    opts: &ExactOptions,
-) -> Result<Deletion> {
-    let mut state = NaiveState::new(inst);
+    let mut state = NaiveState::new(&inst);
     let found = run_search(&mut state, usize::MAX, opts)?;
     let (deletions, _) = found.expect("a hitting set always exists (delete the whole support)");
     let view_side_effects = inst.side_effects(&deletions);
@@ -129,37 +99,6 @@ pub fn min_view_side_effects_naive_on(
 pub fn min_view_side_effects_on(idx: &mut WitnessIndex, opts: &ExactOptions) -> Result<Deletion> {
     debug_assert_eq!(idx.deleted_len(), 0, "index must start empty");
     let found = run_search(&mut IndexedState(idx), usize::MAX, opts)?;
-    finish_solution(idx, found)
-}
-
-/// [`min_view_side_effects_on`] with the first level of the
-/// branch-and-bound fanned out across `pool`: every root branch explores
-/// its subtree on a **cloned** index under the sequential exclusion
-/// discipline, sharing one atomic best bound for (strictly-worse-only)
-/// cross-branch pruning. The returned solution is **identical** to the
-/// sequential search's — see `run_search_parallel` for why — and a
-/// one-thread pool runs [`min_view_side_effects_on`] verbatim.
-///
-/// A **finite [`ExactOptions::node_budget`] also forces the sequential
-/// path**: the fan-out's weaker cross-branch pruning (no early stop when
-/// a sibling finds a perfect solution, equal-quality subtrees explored
-/// per branch) can consume node budget the sequential search would not,
-/// so under a cap the outcome — success vs [`CoreError::BudgetExhausted`]
-/// — would depend on the core count. Budgeted callers (the keyed
-/// polynomial certificate, bench bounds) get sequential semantics
-/// exactly — including [`min_view_side_effects_on`]'s dirty-index
-/// caveat on abort, since every reachable abort takes that route; only
-/// unbudgeted searches fan out.
-pub fn min_view_side_effects_on_par(
-    idx: &mut WitnessIndex,
-    opts: &ExactOptions,
-    pool: ParPool,
-) -> Result<Deletion> {
-    if pool.is_sequential() || opts.node_budget != u64::MAX {
-        return min_view_side_effects_on(idx, opts);
-    }
-    debug_assert_eq!(idx.deleted_len(), 0, "index must start empty");
-    let found = run_search_parallel(idx, usize::MAX, opts, pool)?;
     finish_solution(idx, found)
 }
 
@@ -195,31 +134,13 @@ pub fn side_effect_free(
     DeletionContext::new(q, db)?.side_effect_free(target, opts)
 }
 
-/// Fewest support tuples before the context entry points fan the
-/// branch-and-bound's first level out across threads: below this the
-/// whole search finishes faster than a spawn.
-const PAR_SEARCH_MIN_SUPPORT: usize = 16;
-
 impl DeletionContext {
-    /// The pool the exact search should use for `idx`: the context's own,
-    /// unless the instance is too small to amortize a fan-out.
-    pub(crate) fn search_pool(&self, idx: &WitnessIndex) -> ParPool {
-        if idx.support().len() >= PAR_SEARCH_MIN_SUPPORT {
-            self.pool()
-        } else {
-            ParPool::sequential()
-        }
-    }
-
     /// [`min_view_side_effects`] against this context's shared provenance:
     /// stamps out the target's instance and frontier index, then runs the
-    /// incremental branch-and-bound (first level fanned out across the
-    /// context's pool when the instance is big enough — identical
-    /// solutions either way).
+    /// incremental branch-and-bound.
     pub fn min_view_side_effects(&self, target: &Tuple, opts: &ExactOptions) -> Result<Deletion> {
         let (_, mut idx) = self.instance_and_index(target)?;
-        let pool = self.search_pool(&idx);
-        min_view_side_effects_on_par(&mut idx, opts, pool)
+        min_view_side_effects_on(&mut idx, opts)
     }
 
     /// [`DeletionContext::min_view_side_effects`] for the serving loop:
@@ -227,18 +148,16 @@ impl DeletionContext {
     /// patched in place across [`DeletionContext::apply_delete`] turns —
     /// re-stamping from the touch skeleton only when the cache was
     /// invalidated. Identical solutions to the uncached entry point
-    /// (pinned by `tests/prop_parallel.rs`).
+    /// (pinned by `tests/prop_maintenance.rs`).
     pub fn min_view_side_effects_turn(
         &mut self,
         target: &Tuple,
         opts: &ExactOptions,
     ) -> Result<Deletion> {
         let mut idx = self.take_index(target)?;
-        let pool = self.search_pool(&idx);
-        // On a budget abort the branch state is unwound for the parallel
-        // path but not the sequential one — drop the index either way;
-        // correctness never reuses a dirty index.
-        let sol = min_view_side_effects_on_par(&mut idx, opts, pool)?;
+        // A budget abort leaves the index dirty: `?` drops it, and the
+        // next turn re-stamps from the skeleton.
+        let sol = min_view_side_effects_on(&mut idx, opts)?;
         self.cache_index(target, idx);
         Ok(sol)
     }
@@ -400,25 +319,12 @@ impl SearchState for NaiveState<'_> {
     }
 }
 
-/// Cross-branch state of one parallel search: the atomic best bound for
-/// strictly-worse-only pruning. There is deliberately no shared node
-/// budget — the parallel entry point routes every finite
-/// [`ExactOptions::node_budget`] to the sequential path, so branch-local
-/// counting (which never fires at `u64::MAX`) avoids a contended atomic
-/// increment on every search node.
-struct SharedSearch {
-    bound: AtomicUsize,
-}
-
-/// Bookkeeping shared by every node of one (branch-local) search.
-struct SearchCtx<'a> {
+/// Bookkeeping shared by every node of one search.
+struct SearchCtx {
     nodes: u64,
     budget: u64,
     best: Option<(BTreeSet<Tid>, usize)>,
     bound: usize,
-    /// Present only under the parallel fan-out: the shared bound adds
-    /// pruning of strictly-worse subtrees.
-    shared: Option<&'a SharedSearch>,
 }
 
 /// Branch-and-bound over (minimal) hitting sets of the target's witnesses.
@@ -433,7 +339,6 @@ fn run_search<S: SearchState>(
         budget: opts.node_budget,
         best: None,
         bound: cap,
-        shared: None,
     };
     let mut excluded = vec![false; state.support_len()];
     recurse(state, &mut ctx, &mut excluded)?;
@@ -442,7 +347,7 @@ fn run_search<S: SearchState>(
 
 fn recurse<S: SearchState>(
     state: &mut S,
-    ctx: &mut SearchCtx<'_>,
+    ctx: &mut SearchCtx,
     excluded: &mut [bool],
 ) -> Result<()> {
     ctx.nodes += 1;
@@ -454,23 +359,11 @@ fn recurse<S: SearchState>(
     if se >= ctx.bound {
         return Ok(());
     }
-    // Cross-branch pruning must stay *strict* (only `se` strictly above
-    // the shared best): it then never cuts a subtree that could reach the
-    // global optimum, which is what keeps the parallel fan-out's combined
-    // answer identical to the sequential search (see `run_search_parallel`).
-    if let Some(shared) = ctx.shared {
-        if se > shared.bound.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-    }
     // Pick the unhit witness with the fewest available choices (fail-first
     // on width); `None` means the current set is already a hitting set.
     let Some((_, wi)) = pick_witness(state, excluded) else {
         ctx.best = Some((state.deleted_tids(), se));
         ctx.bound = se; // future solutions must be strictly better
-        if let Some(shared) = ctx.shared {
-            shared.bound.fetch_min(se, Ordering::Relaxed);
-        }
         return Ok(());
     };
     // Order the branch choices by their incremental side-effect delta —
@@ -501,12 +394,9 @@ fn recurse<S: SearchState>(
     Ok(())
 }
 
-/// The fail-first branching choice shared by [`recurse`] and the parallel
-/// root in [`run_search_parallel`]: the unhit target witness with the
-/// fewest non-excluded member slots, as `(available, witness)`. Keeping
-/// one copy is what keeps the parallel fan-out's branch ordering — and
-/// hence its bit-identical-results guarantee — in lockstep with the
-/// sequential search.
+/// The fail-first branching choice of [`recurse`]: the unhit target
+/// witness with the fewest non-excluded member slots, as
+/// `(available, witness)`.
 fn pick_witness<S: SearchState>(state: &S, excluded: &[bool]) -> Option<(usize, usize)> {
     let mut pick: Option<(usize, usize)> = None;
     for wi in 0..state.target_witness_count() {
@@ -523,92 +413,6 @@ fn pick_witness<S: SearchState>(state: &S, excluded: &[bool]) -> Option<(usize, 
         }
     }
     pick
-}
-
-/// The **top-level parallel fan-out** of the branch-and-bound: replicate
-/// [`recurse`]'s root node (fail-first witness pick, delta-ordered
-/// choices), then explore each first-level branch on a cloned index under
-/// the sequential exclusion discipline — branch `i` starts with branches
-/// `0..i`'s slots excluded, exactly as the sequential loop would have
-/// left them.
-///
-/// **Why the combined answer is identical to [`run_search`]'s.** The
-/// sequential search returns the *first* solution attaining the optimal
-/// side-effect count `k` in its traversal order (later equal solutions
-/// never replace it — the bound demands strictly better). Per branch, the
-/// traversal order is deterministic and pruning-independent, and a branch
-/// running with only its own local bound visits a *superset* of the nodes
-/// the sequential search visits there (the sequential bound may be
-/// tighter, never looser); the shared atomic bound only ever prunes nodes
-/// with `se` **strictly above** the global optimum, so every branch still
-/// reaches its first `k`-valued solution if it has one. A branch earlier
-/// than the sequential winner cannot produce a `k`-valued solution the
-/// sequential search missed (its nodes with `se ≤ k` were never pruned
-/// sequentially either), so taking the minimum by `(side effects, branch
-/// order)` reproduces the sequential answer exactly — pinned by
-/// `tests/prop_parallel.rs` across thread counts.
-fn run_search_parallel(
-    idx: &mut WitnessIndex,
-    cap: usize,
-    opts: &ExactOptions,
-    pool: ParPool,
-) -> Result<Option<(BTreeSet<Tid>, usize)>> {
-    debug_assert_eq!(
-        opts.node_budget,
-        u64::MAX,
-        "finite budgets route to the sequential search"
-    );
-    let shared = SharedSearch {
-        bound: AtomicUsize::new(cap),
-    };
-    // The root node, replicated from `recurse`.
-    let se0 = idx.side_effect_count();
-    if se0 >= cap {
-        return Ok(None);
-    }
-    let no_exclusions = vec![false; idx.support().len()]; // nothing excluded at the root
-    let Some((_, wi)) = pick_witness(&IndexedState(idx), &no_exclusions) else {
-        // Already a hitting set (possible only on a pre-loaded index).
-        return Ok(Some((idx.deleted_tids(), se0)));
-    };
-    let members: Vec<usize> = idx.target_witness_members(wi).to_vec();
-    // Delta-probe on the caller's index (probes unwind to clean), then
-    // share it immutably with the branches — no extra full clone.
-    let mut choices: Vec<(usize, usize)> = members
-        .into_iter()
-        .map(|s| (idx.delta_if_deleted(s), s))
-        .collect();
-    choices.sort_unstable();
-    let idx = &*idx;
-    let results = pool.par_indices(choices.len(), |i| {
-        let mut branch = idx.clone();
-        let mut excluded = vec![false; branch.support().len()];
-        for &(_, s) in &choices[..i] {
-            excluded[s] = true;
-        }
-        let (_, slot) = choices[i];
-        branch.insert_slot(slot);
-        let mut ctx = SearchCtx {
-            nodes: 0,
-            budget: u64::MAX, // only unbudgeted searches reach the fan-out
-            best: None,
-            bound: cap,
-            shared: Some(&shared),
-        };
-        recurse(&mut IndexedState(&mut branch), &mut ctx, &mut excluded)?;
-        Ok::<_, CoreError>(ctx.best)
-    });
-    // Combine in branch order; ties go to the earliest branch — exactly
-    // the solution the sequential traversal records first.
-    let mut best: Option<(BTreeSet<Tid>, usize)> = None;
-    for res in results {
-        if let Some((set, se)) = res? {
-            if best.as_ref().is_none_or(|&(_, b)| se < b) {
-                best = Some((set, se));
-            }
-        }
-    }
-    Ok(best)
 }
 
 /// Theorem 2.3: for SPU queries (select/project/union, no join, no rename)
@@ -776,31 +580,6 @@ mod tests {
         let t = tuple(["bob", "report"]);
         let err = min_view_side_effects(&q, &db, &t, &ExactOptions { node_budget: 1 }).unwrap_err();
         assert!(matches!(err, CoreError::BudgetExhausted { .. }));
-    }
-
-    /// A finite node budget must behave identically under every pool: the
-    /// parallel entry point routes budgeted searches to the sequential
-    /// path (the fan-out's weaker pruning could otherwise burn budget the
-    /// sequential search would not, making success depend on core count —
-    /// which would panic the keyed polynomial certificate).
-    #[test]
-    fn finite_budgets_are_pool_independent() {
-        let (q, db) = usergroup();
-        let t = tuple(["bob", "report"]);
-        let ctx = DeletionContext::new_with(&q, &db, ParPool::sequential()).unwrap();
-        let pool = ParPool::new(4);
-        let opts = ExactOptions {
-            node_budget: 10_000,
-        };
-        let (_, mut idx) = ctx.instance_and_index(&t).unwrap();
-        let seq = min_view_side_effects_on(&mut idx, &opts).unwrap();
-        let (_, mut idx) = ctx.instance_and_index(&t).unwrap();
-        let par = min_view_side_effects_on_par(&mut idx, &opts, pool).unwrap();
-        assert_eq!(seq, par);
-        // Exhaustion aborts identically, independent of the pool.
-        let (_, mut idx) = ctx.instance_and_index(&t).unwrap();
-        let err = min_view_side_effects_on_par(&mut idx, &ExactOptions { node_budget: 1 }, pool);
-        assert!(matches!(err, Err(CoreError::BudgetExhausted { .. })));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::placement::sju::sju_placement;
 use crate::placement::spu::spu_placement;
 use crate::placement::Placement;
 use dap_provenance::ViewLoc;
-use dap_relalg::{detect_chain_join, Database, OpFootprint, ParPool, Query, Tuple};
+use dap_relalg::{detect_chain_join, Database, OpFootprint, Query, Tuple};
 use std::fmt;
 
 /// The two sides of the dichotomy.
@@ -190,121 +190,79 @@ pub fn delete_min_source(
 }
 
 /// Batched [`delete_min_view_side_effects`]: solve many view-deletion
-/// targets over the same `(Q, S)` with the provenance work shared **and
-/// the targets fanned out across the process-default [`ParPool`]**. The
+/// targets over the same `(Q, S)` with the provenance work shared. The
 /// classes that materialize provenance (SJ and the exact search) build one
 /// [`DeletionContext`] — a single annotated evaluation plus one hypergraph
-/// skeleton — and stamp per-thread instances/indexes from it; SPU never
-/// materializes provenance and dispatches per target as before. Identical
-/// results to the sequential (one-thread) dispatch in target order.
+/// skeleton — and stamp each target's instance and index from it; SPU
+/// never materializes provenance and dispatches per target. Results come
+/// back in target order; the first failing target's error is returned.
 pub fn delete_min_view_side_effects_many(
     q: &Query,
     db: &Database,
     targets: &[Tuple],
 ) -> Result<Vec<(Deletion, SolverKind)>> {
-    delete_min_view_side_effects_many_with(q, db, targets, ParPool::global())
-}
-
-/// [`delete_min_view_side_effects_many`] with an explicit pool. Each
-/// target solves independently against the immutable shared context (its
-/// own stamped [`crate::deletion::WitnessIndex`] lives on the worker's
-/// stack), so every pool size returns the same `Vec` — pinned by
-/// `tests/prop_parallel.rs`.
-pub fn delete_min_view_side_effects_many_with(
-    q: &Query,
-    db: &Database,
-    targets: &[Tuple],
-    pool: ParPool,
-) -> Result<Vec<(Deletion, SolverKind)>> {
     let fp = OpFootprint::of(q);
     if !fp.join && !fp.rename {
-        return pool
-            .par_map(targets, |t| {
-                Ok((spu_view_deletion(q, db, t)?, SolverKind::Spu))
-            })
-            .into_iter()
+        return targets
+            .iter()
+            .map(|t| Ok((spu_view_deletion(q, db, t)?, SolverKind::Spu)))
             .collect();
     }
-    let ctx = DeletionContext::new_with(q, db, pool)?;
+    let ctx = DeletionContext::new(q, db)?;
     if !fp.project && !fp.union_ {
-        return pool
-            .par_map(targets, |t| {
-                Ok((sj_view_deletion_in(&ctx, t)?, SolverKind::Sj))
-            })
-            .into_iter()
+        return targets
+            .iter()
+            .map(|t| Ok((sj_view_deletion_in(&ctx, t)?, SolverKind::Sj)))
             .collect();
     }
     let opts = ExactOptions::default();
-    // Target-level fan-out; each solve stays sequential inside (nesting
-    // the first-level branch fan-out would oversubscribe the pool).
-    pool.par_map(targets, |t| {
-        let (_, mut idx) = ctx.instance_and_index(t)?;
-        Ok((
-            crate::deletion::view_side_effect::min_view_side_effects_on(&mut idx, &opts)?,
-            SolverKind::ExactSearch,
-        ))
-    })
-    .into_iter()
-    .collect()
+    targets
+        .iter()
+        .map(|t| {
+            Ok((
+                ctx.min_view_side_effects(t, &opts)?,
+                SolverKind::ExactSearch,
+            ))
+        })
+        .collect()
 }
 
 /// Batched [`delete_min_source`]: one shared [`DeletionContext`] for the
-/// classes that materialize provenance, targets fanned out across the
-/// process-default [`ParPool`] (see
-/// [`delete_min_view_side_effects_many`]); SPU and the chain min-cut
-/// dispatch per target.
+/// classes that materialize provenance (see
+/// [`delete_min_view_side_effects_many`]); SPU dispatches per target.
 pub fn delete_min_source_many(
     q: &Query,
     db: &Database,
     targets: &[Tuple],
 ) -> Result<Vec<(Deletion, SolverKind)>> {
-    delete_min_source_many_with(q, db, targets, ParPool::global())
-}
-
-/// [`delete_min_source_many`] with an explicit pool; identical results
-/// for every pool size.
-pub fn delete_min_source_many_with(
-    q: &Query,
-    db: &Database,
-    targets: &[Tuple],
-    pool: ParPool,
-) -> Result<Vec<(Deletion, SolverKind)>> {
     let fp = OpFootprint::of(q);
     if !fp.join && !fp.rename {
-        return pool
-            .par_map(targets, |t| {
-                Ok((spu_source_deletion(q, db, t)?, SolverKind::Spu))
-            })
-            .into_iter()
+        return targets
+            .iter()
+            .map(|t| Ok((spu_source_deletion(q, db, t)?, SolverKind::Spu)))
             .collect();
     }
-    if fp.project || fp.union_ {
-        // Both arms share one context — the chain min-cut reads the same
-        // materialized why-provenance the exact search does (and stays
-        // consistent with the single-target and serving-loop dispatches).
-        let ctx = DeletionContext::new_with(q, db, pool)?;
-        if detect_chain_join(q, &db.catalog()).is_some() {
-            return pool
-                .par_map(targets, |t| {
-                    Ok((ctx.chain_min_source_deletion(t)?, SolverKind::ChainMinCut))
-                })
-                .into_iter()
-                .collect();
-        }
-        return pool
-            .par_map(targets, |t| {
-                Ok((ctx.min_source_deletion(t)?, SolverKind::ExactSearch))
-            })
-            .into_iter()
+    // Every other arm shares one context — the chain min-cut reads the
+    // same materialized why-provenance the exact search does (and stays
+    // consistent with the single-target and serving-loop dispatches).
+    let ctx = DeletionContext::new(q, db)?;
+    if !fp.project && !fp.union_ {
+        // SJ: Thm 2.9 = Thm 2.4's component scan, shared through the context.
+        return targets
+            .iter()
+            .map(|t| Ok((sj_view_deletion_in(&ctx, t)?, SolverKind::Sj)))
             .collect();
     }
-    // SJ: Thm 2.9 = Thm 2.4's component scan, shared through the context.
-    let ctx = DeletionContext::new_with(q, db, pool)?;
-    pool.par_map(targets, |t| {
-        Ok((sj_view_deletion_in(&ctx, t)?, SolverKind::Sj))
-    })
-    .into_iter()
-    .collect()
+    if detect_chain_join(q, &db.catalog()).is_some() {
+        return targets
+            .iter()
+            .map(|t| Ok((ctx.chain_min_source_deletion(t)?, SolverKind::ChainMinCut)))
+            .collect();
+    }
+    targets
+        .iter()
+        .map(|t| Ok((ctx.min_source_deletion(t)?, SolverKind::ExactSearch)))
+        .collect()
 }
 
 /// The **apply-and-re-solve serving loop** over one maintained
@@ -317,11 +275,11 @@ pub fn delete_min_source_many_with(
 ///
 /// Unlike [`delete_min_view_side_effects_many`] (which answers independent
 /// what-if questions over the *same* view), the loop's turns are data
-/// dependent, so parallelism lives inside each turn (the exact search's
-/// branch fan-out), not across turns. SPU targets take the Thm 2.3 linear
-/// path ([`DeletionContext::spu_view_deletion`]) and SJ targets the
-/// Thm 2.4 component scan — same solutions the exact search degenerates
-/// to, read straight off the maintained context. Everything else solves
+/// dependent: each solves against the view the previous commit left. SPU
+/// targets take the Thm 2.3 linear path
+/// ([`DeletionContext::spu_view_deletion`]) and SJ targets the Thm 2.4
+/// component scan — same solutions the exact search degenerates to, read
+/// straight off the maintained context. Everything else solves
 /// via [`DeletionContext::min_view_side_effects_turn`], which keeps each
 /// target's [`crate::deletion::WitnessIndex`] warm (patched in place)
 /// across turns. (The chain min-cut is a *source*-objective solver; for
@@ -452,53 +410,33 @@ fn placement_solver_for(q: &Query) -> SolverKind {
 /// over the same `(Q, S)` with the work shared across targets. For the
 /// generic (NP-hard) class this builds the annotated-evaluation placement
 /// index **once** — one tree walk for the whole batch — instead of one per
-/// target; the polynomial classes dispatch per target as before (they never
-/// materialize provenance).
+/// target; the polynomial classes dispatch per target (they never
+/// materialize provenance). Placements come back in target order; the
+/// first failing target's error is returned.
 pub fn place_annotations(
     q: &Query,
     db: &Database,
     targets: &[ViewLoc],
 ) -> Result<(Vec<Placement>, SolverKind)> {
-    place_annotations_with(q, db, targets, ParPool::global())
-}
-
-/// [`place_annotations`] with an explicit [`ParPool`]: the per-target
-/// solves are independent, so the batch shards across the pool and
-/// recombines in index order — placements (and which error surfaces, on
-/// failure: the lowest-index one) are bit-identical for every pool size,
-/// and a one-thread pool runs the exact sequential path. The shared
-/// [`PlacementIndex`] for the generic class is still built once, before
-/// the fan-out.
-pub fn place_annotations_with(
-    q: &Query,
-    db: &Database,
-    targets: &[ViewLoc],
-    pool: ParPool,
-) -> Result<(Vec<Placement>, SolverKind)> {
-    match placement_solver_for(q) {
-        SolverKind::Spu => {
-            let sols = pool
-                .par_map(targets, |t| spu_placement(q, db, t))
-                .into_iter()
-                .collect::<Result<_>>()?;
-            Ok((sols, SolverKind::Spu))
-        }
-        SolverKind::Sju => {
-            let sols = pool
-                .par_map(targets, |t| sju_placement(q, db, t))
-                .into_iter()
-                .collect::<Result<_>>()?;
-            Ok((sols, SolverKind::Sju))
-        }
+    let kind = placement_solver_for(q);
+    let sols = match kind {
+        SolverKind::Spu => targets
+            .iter()
+            .map(|t| spu_placement(q, db, t))
+            .collect::<Result<_>>()?,
+        SolverKind::Sju => targets
+            .iter()
+            .map(|t| sju_placement(q, db, t))
+            .collect::<Result<_>>()?,
         _ => {
             let index = PlacementIndex::build(q, db)?;
-            let sols = pool
-                .par_map(targets, |t| index.place(t))
-                .into_iter()
-                .collect::<Result<_>>()?;
-            Ok((sols, SolverKind::GenericPlacement))
+            targets
+                .iter()
+                .map(|t| index.place(t))
+                .collect::<Result<_>>()?
         }
-    }
+    };
+    Ok((sols, kind))
 }
 
 /// Render one of the paper's tables as aligned text (used by the report

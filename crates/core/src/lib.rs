@@ -52,18 +52,12 @@ pub mod ilp;
 pub mod placement;
 pub mod reductions;
 
-/// The scoped-thread parallel runtime (re-exported from `dap-relalg`,
-/// where the plan-construction hot path lives): [`ParPool`] and its
-/// deterministic sharding helpers drive the batched deletion dispatchers
-/// and the branch-and-bound fan-out in this crate.
-pub use dap_relalg::{par, ParPool};
 pub use deletion::{Deletion, DeletionContext, DeletionInstance, WitnessIndex};
 pub use dichotomy::{
     complexity, delete_min_source, delete_min_source_apply_many, delete_min_source_many,
-    delete_min_source_many_with, delete_min_view_side_effects,
-    delete_min_view_side_effects_apply_many, delete_min_view_side_effects_many,
-    delete_min_view_side_effects_many_with, format_paper_table, paper_table, place_annotation,
-    place_annotations, place_annotations_with, Complexity, Problem, SolverKind,
+    delete_min_view_side_effects, delete_min_view_side_effects_apply_many,
+    delete_min_view_side_effects_many, format_paper_table, paper_table, place_annotation,
+    place_annotations, Complexity, Problem, SolverKind,
 };
 pub use error::{CoreError, Result};
 pub use ilp::{IlpObjective, IlpOptions, IlpRequest};

@@ -14,8 +14,7 @@
 //! target — or many targets — costs one tree walk total instead of one
 //! forward propagation per candidate. The per-candidate path survives as
 //! `multipass_min_side_effect_placement` (cargo feature `legacy-oracles`),
-//! the legacy oracle the differential tests and the `engine_vs_multipass`
-//! bench compare against.
+//! the legacy oracle the differential tests compare against.
 
 use crate::error::{CoreError, Result};
 use crate::placement::Placement;
@@ -143,8 +142,7 @@ pub fn side_effect_free_placement(
 
 /// The legacy multipass solver: candidates from the standalone backward
 /// walk, then **one full forward propagation per candidate**. Kept as the
-/// cross-check oracle for the differential property tests and as the
-/// baseline of the `engine_vs_multipass` bench — use
+/// cross-check oracle for the differential property tests — use
 /// [`min_side_effect_placement`] everywhere else.
 #[cfg(feature = "legacy-oracles")]
 pub fn multipass_min_side_effect_placement(

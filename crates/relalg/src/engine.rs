@@ -85,8 +85,8 @@ impl JoinLayout {
 /// to be sharp (never for correctness), [`Annotation::normalize`] should
 /// produce a canonical form — all five shipped instances do.
 ///
-/// The `Send + Sync` bounds let the registry shard scans, join probes,
-/// ⊕-bucket normalization and its level-parallel delta push across a
+/// The `Send + Sync` bounds let the registry's operator builds shard
+/// scans, join probes and ⊕-bucket normalization across a
 /// [`crate::par::ParPool`]; every shipped carrier is plain owned data, so
 /// the bounds are satisfied automatically.
 pub trait Annotation: Clone + PartialEq + Send + Sync {

@@ -27,12 +27,14 @@
 //!   every registered query. A one-query registry is the materialized
 //!   pipeline of a single `(Q, S)`, and [`eval_annotated`] is one consumed
 //!   on the spot;
-//! * the **persistent parallel runtime** ([`par`]): a dependency-free
-//!   [`ParPool`] (thread count from `DAP_THREADS` or the hardware) whose
-//!   deterministic sharding helpers parallelize operator builds and the
-//!   registry push here and the batched deletion dispatchers in `dap-core`
-//!   over a process-global set of parked worker threads, with one thread
-//!   degrading to the exact sequential code paths;
+//! * the **persistent parallel runtime** ([`par`]) — *sharded builds,
+//!   sequential turns*: a dependency-free [`ParPool`] (one shard per
+//!   hardware thread) whose deterministic sharding helpers split the
+//!   one-time operator builds here and `dap-core`'s context skeleton over
+//!   a process-global set of parked worker threads once an input crosses
+//!   the build grain, with one thread degrading to the exact sequential
+//!   code paths. Every per-turn path — the registry's delta push, each
+//!   solve — runs on the calling thread;
 //! * the **hot-path data layout** ([`mod@intern`], [`fingerprint`]): globally
 //!   interned string values ([`Sym`] — id-compare equality, one allocation
 //!   per distinct constant) and fixed-width `u64` join-key fingerprints

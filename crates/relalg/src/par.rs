@@ -1,28 +1,29 @@
 //! The **persistent parallel runtime** — a small, dependency-free pool of
-//! long-lived worker threads shared by every hot path that shards cleanly.
+//! long-lived worker threads for the one-time builds that shard cleanly.
 //!
-//! The repository's serving workloads — the registry's per-operator
-//! builds ([`crate::plan`]) and level-parallel delta push, and batched
-//! deletion solving (`dap-core`'s dichotomy dispatchers) — are
-//! embarrassingly parallel at well-defined seams. [`ParPool`] provides exactly the helpers those seams need:
+//! The runtime splits work where the measurements split it: *sharded
+//! builds, sequential turns*. The registry's per-operator builds
+//! ([`crate::plan`]) and `dap-core`'s deletion-context skeleton
+//! flattening are large, uniform loops run once per registration, and
+//! they shard over a [`ParPool`] when the input crosses the build grain.
+//! Every per-turn path — the registry's delta push, each solve — runs
+//! sequentially: a turn touches a handful of nodes or branches, and
+//! dispatching them measured slower than running them inline. [`ParPool`]
+//! provides exactly the helpers the builds need:
 //!
 //! * [`ParPool::par_ranges`] — contiguous sharding of an index space,
 //!   results concatenated in range order (for uniform per-item work:
 //!   scans, probes, bucket normalization);
-//! * [`ParPool::par_indices`] / [`ParPool::par_map`] — dynamic
-//!   work-stealing over an index space, results restored to index order
-//!   (for skewed per-item work: solver targets, branch-and-bound
-//!   branches);
+//! * [`ParPool::par_indices`] — dynamic work-stealing over an index
+//!   space, results restored to index order (for a few coarse shards:
+//!   per-shard join hash tables);
 //! * [`ParPool::par_map_owned`] — chunked mapping over an owned vector
-//!   (bucket normalization without a clone);
-//! * [`ParPool::par_tasks`] — a handful of coarse independent tasks with
-//!   no grain floor (one DAG node's delta propagation each).
+//!   (bucket normalization without a clone).
 //!
 //! ## Persistent workers
 //!
-//! Earlier revisions spawned scoped threads **per call** — at serving
-//! scale (a registry push per deletion, thousands of turns per second)
-//! thread spawn/join latency dominated the sharded work. The runtime now
+//! Earlier revisions spawned scoped threads **per call** — thread
+//! spawn/join latency dominated the sharded work. The runtime instead
 //! keeps a process-global set of detached helper threads that **park on a
 //! condvar between calls**. A dispatching call publishes one `Job` —
 //! an erased pointer to its claim loop plus item/entrant accounting —
@@ -48,14 +49,15 @@
 //! bit-identical to their sequential counterparts as long as the per-item
 //! work is deterministic (all of ours is). A pool with one thread never
 //! touches the worker set: each helper degrades to the exact sequential
-//! loop, which is what the `DAP_THREADS=1` escape hatch and the
-//! differential property tests in `tests/prop_parallel.rs` rely on.
+//! loop, which is what the explicit-pool differential tests
+//! (`tests/prop_layout.rs`, the registry's build test) compare against.
 //!
 //! ## Sizing
 //!
-//! [`ParPool::auto`] (and the process-wide [`ParPool::global`]) default to
-//! [`std::thread::available_parallelism`], overridable with the
-//! `DAP_THREADS` environment variable (`0` or unset means auto).
+//! The process-wide [`ParPool::global`] uses
+//! [`std::thread::available_parallelism`]; whether a build actually
+//! shards is decided per call from the input size and the grain, never
+//! from a user option. Tests pass explicit pools ([`ParPool::new`]).
 //!
 //! ## Safety
 //!
@@ -87,7 +89,7 @@ pub struct ParPool {
 const MIN_ITEMS_PER_SHARD: usize = 16;
 
 /// Hard ceiling on persistent helper threads — a backstop against absurd
-/// `DAP_THREADS` values, far above any real hardware this serves on.
+/// explicit pool sizes, far above any real hardware this serves on.
 const MAX_HELPERS: usize = 96;
 
 /// One parallel dispatch in flight. Workers and the dispatching caller
@@ -301,37 +303,17 @@ impl ParPool {
         ParPool::new(1)
     }
 
-    /// The default pool size: `DAP_THREADS` if set to a positive integer,
-    /// otherwise [`std::thread::available_parallelism`] (`DAP_THREADS=0`
-    /// explicitly requests auto). A malformed value is reported on stderr
-    /// and treated as auto — silently ignoring a typo would defeat the
-    /// `DAP_THREADS=1` sequential escape hatch.
-    pub fn auto() -> ParPool {
-        let from_env =
-            std::env::var("DAP_THREADS")
-                .ok()
-                .and_then(|v| match v.trim().parse::<usize>() {
-                    Ok(n) => Some(n).filter(|&n| n > 0),
-                    Err(_) => {
-                        eprintln!(
-                            "warning: ignoring unparsable DAP_THREADS={v:?} \
-                         (expected a non-negative integer; using auto)"
-                        );
-                        None
-                    }
-                });
-        let threads = from_env.unwrap_or_else(|| {
-            thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        ParPool::new(threads)
-    }
-
-    /// The process-wide default pool, resolved once from [`ParPool::auto`].
+    /// The process-wide default pool: one shard per hardware thread
+    /// ([`std::thread::available_parallelism`]), resolved once.
     pub fn global() -> ParPool {
         static GLOBAL: OnceLock<ParPool> = OnceLock::new();
-        *GLOBAL.get_or_init(ParPool::auto)
+        *GLOBAL.get_or_init(|| {
+            ParPool::new(
+                thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1),
+            )
+        })
     }
 
     /// Number of worker threads this pool shards across.
@@ -339,15 +321,13 @@ impl ParPool {
         self.threads
     }
 
-    /// Whether this pool runs everything inline on the calling thread.
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
-    }
-
-    /// The core primitive behind every helper: run `f(i)` for all
-    /// `i in 0..n` with dynamic claiming over the persistent workers,
-    /// each result written to its own slot — results in index order.
-    fn run_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
+    /// The core primitive behind every helper: run `f(i)` for every
+    /// `i in 0..n` with **dynamic** scheduling over the persistent workers
+    /// (an atomic work counter, so skewed per-item costs balance), each
+    /// result written to its own slot — results in index order. Use
+    /// directly for a few coarse shards; [`ParPool::par_ranges`] is
+    /// cheaper for uniform per-row work.
+    pub fn par_indices<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
@@ -400,36 +380,12 @@ impl ParPool {
         let ranges: Vec<Range<usize>> = (0..shards)
             .map(|s| (s * n / shards)..((s + 1) * n / shards))
             .collect();
-        let mut chunks: Vec<Vec<R>> = self.run_indexed(shards, |s| f(ranges[s].clone()));
+        let mut chunks: Vec<Vec<R>> = self.par_indices(shards, |s| f(ranges[s].clone()));
         let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
         for chunk in &mut chunks {
             out.append(chunk);
         }
         out
-    }
-
-    /// Run `f(i)` for every `i in 0..n` with **dynamic** scheduling (an
-    /// atomic work counter, so skewed per-item costs balance), returning
-    /// the results in index order. Use for coarse, uneven tasks — solver
-    /// targets, search branches; [`ParPool::par_ranges`] is cheaper for
-    /// uniform work.
-    pub fn par_indices<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        self.run_indexed(n, f)
-    }
-
-    /// [`ParPool::par_indices`] over a slice: `f` applied to every item,
-    /// results in item order.
-    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.run_indexed(items.len(), |i| f(&items[i]))
     }
 
     /// Map `f` over an owned vector, each worker owning a contiguous chunk
@@ -455,7 +411,7 @@ impl ParPool {
             let tail = rest.split_off(take);
             chunks.push(Mutex::new(Some(std::mem::replace(&mut rest, tail))));
         }
-        let mut mapped: Vec<Vec<R>> = self.run_indexed(shards, |s| {
+        let mut mapped: Vec<Vec<R>> = self.par_indices(shards, |s| {
             let chunk = chunks[s].lock().expect("chunk slot").take();
             chunk
                 .expect("each chunk is claimed exactly once")
@@ -469,40 +425,6 @@ impl ParPool {
         }
         out
     }
-
-    /// Run a handful of **coarse, independent tasks** with *no grain
-    /// floor* — unlike [`ParPool::par_map_owned`], which refuses to go
-    /// parallel below a minimum item count per shard. Tasks are claimed
-    /// dynamically (one at a time, so skew balances) and results come back
-    /// in input order. Use when each task is itself substantial (one DAG
-    /// node's delta propagation) so that even two or three tasks are worth
-    /// dispatching; the fine-grained helpers are cheaper for per-row work.
-    pub fn par_tasks<T, R, F>(&self, tasks: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        let n = tasks.len();
-        if self.threads == 1 || n <= 1 {
-            return tasks.into_iter().map(f).collect();
-        }
-        let cells: Vec<Mutex<Option<T>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        self.run_indexed(n, |i| {
-            let task = cells[i]
-                .lock()
-                .expect("task slot")
-                .take()
-                .expect("each task is claimed exactly once");
-            f(task)
-        })
-    }
-}
-
-impl Default for ParPool {
-    fn default() -> ParPool {
-        ParPool::global()
-    }
 }
 
 #[cfg(test)]
@@ -512,7 +434,6 @@ mod tests {
     #[test]
     fn sequential_pool_never_shards() {
         let pool = ParPool::sequential();
-        assert!(pool.is_sequential());
         assert_eq!(pool.threads(), 1);
         let out = pool.par_ranges(100, 1, |r| r.map(|i| i * 2).collect());
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
@@ -541,23 +462,9 @@ mod tests {
         let items: Vec<usize> = (0..300).collect();
         for threads in [1, 2, 4] {
             let pool = ParPool::new(threads);
-            let by_ref = pool.par_map(&items, |&i| i + 7);
+            let by_index = pool.par_indices(items.len(), |i| items[i] + 7);
             let by_val = pool.par_map_owned(items.clone(), 1, |i| i + 7);
-            assert_eq!(by_ref, by_val);
-        }
-    }
-
-    #[test]
-    fn par_tasks_preserves_input_order_below_the_grain_floor() {
-        // Two tasks is below MIN_ITEMS_PER_SHARD — par_map_owned would run
-        // them inline, par_tasks dispatches anyway.
-        for threads in [1, 2, 3, 8] {
-            let pool = ParPool::new(threads);
-            for n in [0, 1, 2, 3, 7] {
-                let tasks: Vec<usize> = (0..n).collect();
-                let out = pool.par_tasks(tasks, |i| i * 10);
-                assert_eq!(out, (0..n).map(|i| i * 10).collect::<Vec<_>>());
-            }
+            assert_eq!(by_index, by_val);
         }
     }
 

@@ -216,9 +216,8 @@ pub(crate) struct Node<A> {
 }
 
 impl<A> Node<A> {
-    /// An empty stand-in node: what a tombstoned (or temporarily
-    /// extracted) slot holds. Never read as a child — freed registry slots
-    /// are not reused and same-level nodes are never each other's children.
+    /// An empty stand-in node: what a tombstoned (or moved-out) slot
+    /// holds. Never read as a child — freed registry slots are not reused.
     pub(crate) fn placeholder() -> Node<A> {
         Node {
             op: Op::Scan,
@@ -252,9 +251,9 @@ impl NodeDelta {
 
 /// Apply the children's settled deltas to one (non-scan) node, filling
 /// `delta` with the node's own removed/changed slots. `nodes` and `deltas`
-/// are indexed by absolute child id; the node itself need not be inside
-/// them (the registry's level-parallel push extracts nodes out of the
-/// arena while their children stay behind).
+/// are indexed by absolute child id — the registry passes the arena
+/// prefix below the node, which holds every child because children always
+/// have smaller ids.
 pub(crate) fn propagate_node<A: Annotation>(
     node: &mut Node<A>,
     delta: &mut NodeDelta,

@@ -43,12 +43,11 @@
 //!   delta through the shared DAG **exactly once** — each node's
 //!   (removed, changed) delta is computed one time regardless of how many
 //!   queries consume it — and clones the per-root [`ViewDelta`] out to
-//!   every subscriber. The push walks the DAG level by level (level =
-//!   1 + max child level), and within a level the nodes are independent,
-//!   so the registry shards them over its [`ParPool`] (nodes are extracted
-//!   from the arena, propagated against the settled earlier levels, and
-//!   written back in input order — results are bit-identical for every
-//!   thread count).
+//!   every subscriber. The push visits node ids in ascending order on the
+//!   calling thread: children always have smaller ids than their parents,
+//!   so every node sees its children's settled deltas, and nodes whose
+//!   children produced no delta are skipped. Only the one-time operator
+//!   builds shard over the registry's [`ParPool`].
 //! * **A subscription outbox.** Multiple [`crate::plan::ViewDelta`]
 //!   consumers (e.g. `dap-core`'s registry-backed deletion contexts) can
 //!   [`PlanRegistry::subscribe`]; every effective `delete_sources` appends
@@ -289,17 +288,11 @@ pub struct PlanRegistry<A> {
     /// Parent-edge count (with multiplicity) plus queries rooted here.
     refs: Vec<usize>,
     live: Vec<bool>,
-    /// DAG level: scans at 0, otherwise 1 + max child level. Nodes within
-    /// a level are independent — the unit of parallel propagation.
-    levels: Vec<u32>,
     /// Child ids per node, in operator order (left before right; a
     /// self-join lists the shared child twice).
     children_of: Vec<Vec<usize>>,
     /// `(relation, scan node)` pairs of live scan nodes.
     scans: Vec<(RelName, usize)>,
-    /// Live non-scan node ids grouped by ascending level (ascending id
-    /// within a level); rebuilt on register/unregister.
-    push_order: Vec<Vec<usize>>,
     queries: BTreeMap<QueryId, RegisteredQuery>,
     /// Distinct root node → its tap.
     taps: HashMap<usize, RootTap>,
@@ -350,10 +343,8 @@ impl<A: Annotation> PlanRegistry<A> {
             key_of: Vec::new(),
             refs: Vec::new(),
             live: Vec::new(),
-            levels: Vec::new(),
             children_of: Vec::new(),
             scans: Vec::new(),
-            push_order: Vec::new(),
             queries: BTreeMap::new(),
             taps: HashMap::new(),
             outbox: BTreeMap::new(),
@@ -370,7 +361,8 @@ impl<A: Annotation> PlanRegistry<A> {
         &self.db
     }
 
-    /// The sharding policy used for builds and delta pushes.
+    /// The sharding policy used for operator builds (delta pushes always
+    /// run on the calling thread).
     pub fn pool(&self) -> ParPool {
         self.pool
     }
@@ -437,7 +429,6 @@ impl<A: Annotation> PlanRegistry<A> {
         let id = QueryId(self.next_query);
         self.next_query += 1;
         self.queries.insert(id, RegisteredQuery { root, schema });
-        self.rebuild_push_order();
         Ok(id)
     }
 
@@ -511,7 +502,6 @@ impl<A: Annotation> PlanRegistry<A> {
             self.taps.remove(&rq.root);
         }
         self.release(rq.root);
-        self.rebuild_push_order();
         true
     }
 
@@ -694,11 +684,7 @@ impl<A: Annotation> PlanRegistry<A> {
         for (node, row) in seeds {
             self.deltas[node].removed.push(row);
         }
-        let order = std::mem::take(&mut self.push_order);
-        for level in &order {
-            self.propagate_level(level);
-        }
-        self.push_order = order;
+        self.push_from(0);
         // One extraction per distinct root; clone per query. The map is
         // reused scratch (taken and returned) so steady-state pushes keep
         // its table allocation.
@@ -843,16 +829,10 @@ impl<A: Annotation> PlanRegistry<A> {
         for &c in &children {
             self.refs[c] += 1;
         }
-        let level = children
-            .iter()
-            .map(|&c| self.levels[c] + 1)
-            .max()
-            .unwrap_or(0);
         self.nodes.push(Node { op, rows });
         self.deltas.push(NodeDelta::default());
         self.refs.push(0);
         self.live.push(true);
-        self.levels.push(level);
         self.children_of.push(children);
         self.keys.insert(key.clone(), id);
         self.key_of.push(Some(key));
@@ -876,7 +856,6 @@ impl<A: Annotation> PlanRegistry<A> {
         self.deltas.truncate(before);
         self.refs.truncate(before);
         self.live.truncate(before);
-        self.levels.truncate(before);
         self.children_of.truncate(before);
         self.key_of.truncate(before);
     }
@@ -902,16 +881,6 @@ impl<A: Annotation> PlanRegistry<A> {
         for c in children {
             self.release(c);
         }
-    }
-
-    fn rebuild_push_order(&mut self) {
-        let mut by_level: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for id in 0..self.nodes.len() {
-            if self.live[id] && !matches!(self.nodes[id].op, Op::Scan) {
-                by_level.entry(self.levels[id]).or_default().push(id);
-            }
-        }
-        self.push_order = by_level.into_values().collect();
     }
 
     /// Bring nodes built by a late registration (`ids >= before`) up to
@@ -958,68 +927,29 @@ impl<A: Annotation> PlanRegistry<A> {
                 }
             }
         }
-        if !any {
-            return;
+        if any {
+            self.push_from(before);
         }
-        for id in before..self.nodes.len() {
-            if !matches!(self.nodes[id].op, Op::Scan) {
-                self.propagate_in_place(id);
+    }
+
+    /// The one delta push, shared by [`PlanRegistry::delete_sources`]
+    /// (`first = 0`) and `replay_committed` (`first` = the first node the
+    /// late registration built): visit ids `first..` in ascending order and
+    /// propagate every node one of whose children carries a delta.
+    /// Ascending id order is a valid push order because children always
+    /// have smaller ids than their parents; scans and tombstones have no
+    /// children and are skipped.
+    fn push_from(&mut self, first: usize) {
+        for id in first..self.nodes.len() {
+            let (child_deltas, rest) = self.deltas.split_at_mut(id);
+            if !self.children_of[id]
+                .iter()
+                .any(|&c| !child_deltas[c].is_empty())
+            {
+                continue;
             }
-        }
-    }
-
-    /// Propagate one node against the arena in place (children always have
-    /// smaller ids, so split borrows are safe).
-    fn propagate_in_place(&mut self, id: usize) {
-        let (child_deltas, rest) = self.deltas.split_at_mut(id);
-        let delta = &mut rest[0];
-        let (child_nodes, rest_nodes) = self.nodes.split_at_mut(id);
-        propagate_node(&mut rest_nodes[0], delta, child_nodes, child_deltas);
-    }
-
-    fn has_input_delta(&self, id: usize) -> bool {
-        self.children_of[id]
-            .iter()
-            .any(|&c| !self.deltas[c].is_empty())
-    }
-
-    /// Propagate one DAG level. Nodes whose children produced no delta are
-    /// skipped; the rest are independent (a level-`k` node's children are
-    /// all at levels `< k`), so with more than one of them and a parallel
-    /// pool they are extracted from the arena, propagated concurrently
-    /// against the settled earlier levels, and written back in input order
-    /// — bit-identical to the sequential walk.
-    fn propagate_level(&mut self, ids: &[usize]) {
-        let active: Vec<usize> = ids
-            .iter()
-            .copied()
-            .filter(|&id| self.has_input_delta(id))
-            .collect();
-        if active.len() <= 1 || self.pool.is_sequential() {
-            for id in active {
-                self.propagate_in_place(id);
-            }
-            return;
-        }
-        let tasks: Vec<(usize, Node<A>, NodeDelta)> = active
-            .iter()
-            .map(|&id| {
-                let node = std::mem::replace(&mut self.nodes[id], Node::placeholder());
-                let delta = std::mem::take(&mut self.deltas[id]);
-                (id, node, delta)
-            })
-            .collect();
-        let done = {
-            let nodes = &self.nodes;
-            let deltas = &self.deltas;
-            self.pool.par_tasks(tasks, |(id, mut node, mut delta)| {
-                propagate_node(&mut node, &mut delta, nodes, deltas);
-                (id, node, delta)
-            })
-        };
-        for (id, node, delta) in done {
-            self.nodes[id] = node;
-            self.deltas[id] = delta;
+            let (child_nodes, rest_nodes) = self.nodes.split_at_mut(id);
+            propagate_node(&mut rest_nodes[0], &mut rest[0], child_nodes, child_deltas);
         }
     }
 
@@ -1401,36 +1331,6 @@ mod tests {
             let pid = par.register(&core()).unwrap();
             assert_eq!(par.snapshot(pid).tuples(), seq.snapshot(id).tuples());
             assert_eq!(par.node_count(), seq.node_count());
-        }
-    }
-
-    #[test]
-    fn parallel_push_is_identical_to_sequential() {
-        let db = fixture();
-        let queries = [
-            core(),
-            parse_query(
-                "select(project(join(scan UserGroup, scan GroupFile), [user, file]), \
-                 user = 'bob')",
-            )
-            .unwrap(),
-            parse_query(
-                "select(project(join(scan UserGroup, scan GroupFile), [user, file]), \
-                 user = 'ann')",
-            )
-            .unwrap(),
-            parse_query("scan GroupFile").unwrap(),
-        ];
-        let mut seq = PlanRegistry::<Unit>::with_pool(&db, ParPool::sequential());
-        let mut par = PlanRegistry::<Unit>::with_pool(&db, ParPool::new(4));
-        for q in &queries {
-            seq.register(q).unwrap();
-            par.register(q).unwrap();
-        }
-        for tid in db.all_tids().collect::<Vec<_>>() {
-            let a = seq.delete_sources(std::slice::from_ref(&tid));
-            let b = par.delete_sources(std::slice::from_ref(&tid));
-            assert_eq!(a, b, "after deleting {tid:?}");
         }
     }
 

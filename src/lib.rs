@@ -67,15 +67,14 @@ pub mod prelude {
     pub use dap_core::deletion::view_side_effect::ExactOptions;
     pub use dap_core::dichotomy::delete_min_view_side_effects_with_fds;
     pub use dap_core::dichotomy::{
-        delete_min_source_apply_many, delete_min_source_many, delete_min_source_many_with,
+        delete_min_source_apply_many, delete_min_source_many,
         delete_min_view_side_effects_apply_many, delete_min_view_side_effects_many,
-        delete_min_view_side_effects_many_with,
     };
     pub use dap_core::{
         complexity, delete_min_source, delete_min_view_side_effects, format_paper_table,
-        paper_table, place_annotation, place_annotations, place_annotations_with, Complexity,
-        CoreError, Deletion, DeletionContext, DeletionInstance, IlpObjective, IlpOptions,
-        IlpRequest, Placement, PlacementIndex, Problem, SolverKind, WitnessIndex,
+        paper_table, place_annotation, place_annotations, Complexity, CoreError, Deletion,
+        DeletionContext, DeletionInstance, IlpObjective, IlpOptions, IlpRequest, Placement,
+        PlacementIndex, Problem, SolverKind, WitnessIndex,
     };
     pub use dap_durability::{
         recover, recover_with, CommitLog, DurableOptions, DurableState, FsyncMode, LogFile,

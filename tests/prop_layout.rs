@@ -5,10 +5,12 @@
 //! * interned/fingerprinted evaluation vs. the forced-collision layout:
 //!   registry build and `delete_sources` maintenance produce bit-identical
 //!   views, deltas and annotations for all five annotation instances;
-//! * the persistent pool is invariant across thread counts
-//!   (`DAP_THREADS`-equivalent pools of 1, 2 and max) *composed with*
-//!   every layout mode — including `Collide`, where every fingerprint is
-//!   equal and the collision-checked fallback carries the whole workload.
+//! * the sharded builds are invariant across explicit pools of 1, 2 and
+//!   max threads *composed with* every layout mode — including `Collide`,
+//!   where every fingerprint is equal and the collision-checked fallback
+//!   carries the whole workload. The proptest databases stay below the
+//!   build grain, so a fixed above-grain input ([`large_fixture`]) makes
+//!   the join, scan and ⊕-bucket kernels actually shard.
 //!
 //! `force_layout` is process-global and the test binary runs cases on
 //! multiple threads; that is safe here precisely because of the property
@@ -61,7 +63,10 @@ fn check_instance<A: Annotation + Debug>(
     db: &Database,
     batches: &[Vec<Tid>],
 ) -> std::result::Result<(), TestCaseError> {
-    let max_threads = std::thread::available_parallelism().map_or(2, |n| n.get());
+    // At least 3, so a three-way split runs even on a two-core host.
+    let max_threads = std::thread::available_parallelism()
+        .map_or(2, |n| n.get())
+        .max(3);
     let reference = run_scenario::<A>(q, db, batches, LayoutMode::Fingerprint, 1);
     for mode in [LayoutMode::Fingerprint, LayoutMode::Collide] {
         for threads in [1, 2, max_threads] {
@@ -84,6 +89,52 @@ fn check_instance<A: Annotation + Debug>(
         }
     }
     Ok(())
+}
+
+/// A `(Q, S)` pair big enough to cross the data-parallel build grain
+/// (`UserGroup` 20×8 ⋈ `GroupFile` 8×20: 160 rows a side, 3,200 join rows
+/// projected onto 400), plus fixed deletion batches that hit one user
+/// edge, several group files, and every edge of one user.
+fn large_fixture() -> (Query, Database, Vec<Vec<Tid>>) {
+    let users = 20;
+    let groups = 8;
+    let files = 20;
+    let ug: Vec<Tuple> = (0..users)
+        .flat_map(|u| (0..groups).map(move |g| tuple([format!("u{u}"), format!("g{g}")])))
+        .collect();
+    let gf: Vec<Tuple> = (0..groups)
+        .flat_map(|g| (0..files).map(move |f| tuple([format!("g{g}"), format!("f{f}")])))
+        .collect();
+    let db = Database::from_relations(vec![
+        Relation::new("UserGroup", schema(["user", "grp"]), ug).unwrap(),
+        Relation::new("GroupFile", schema(["grp", "file"]), gf).unwrap(),
+    ])
+    .unwrap();
+    let q = parse_query("project(join(scan UserGroup, scan GroupFile), [user, file])").unwrap();
+    let batches = vec![
+        vec![Tid::new("UserGroup", 0)],
+        vec![
+            Tid::new("GroupFile", 0),
+            Tid::new("GroupFile", 21),
+            Tid::new("GroupFile", 42),
+        ],
+        (groups..2 * groups)
+            .map(|row| Tid::new("UserGroup", row))
+            .collect(),
+    ];
+    (q, db, batches)
+}
+
+/// The above-grain input through the same layout × pool transcript check
+/// as the proptest below, for all five annotation instances.
+#[test]
+fn above_grain_build_is_bit_identical_for_all_instances() {
+    let (q, db, batches) = large_fixture();
+    check_instance::<Unit>(&q, &db, &batches).unwrap();
+    check_instance::<WitnessesAnn>(&q, &db, &batches).unwrap();
+    check_instance::<LocationsAnn>(&q, &db, &batches).unwrap();
+    check_instance::<LineageAnn>(&q, &db, &batches).unwrap();
+    check_instance::<ExprAnn>(&q, &db, &batches).unwrap();
 }
 
 proptest! {

@@ -8,7 +8,12 @@
 //!   between consecutive views;
 //! * `DeletionContext::resolve_after_delete` (apply-and-re-solve on the
 //!   maintained state) must return exactly what a context rebuilt from
-//!   scratch on the deleted-from database returns.
+//!   scratch on the deleted-from database returns;
+//! * the serving-loop `*_turn` solvers (cached, in-place-patched
+//!   [`WitnessIndex`]es) must match per-call re-stamping from the touch
+//!   skeleton across apply-delete turns, and the apply-loop per-class fast
+//!   paths (SPU linear / SJ component scan) must match the exact search
+//!   they shortcut.
 //!
 //! The one wrinkle is *renumbering*: fresh evaluations of `S \ T` re-pack
 //! row indices, while the registry keeps the original [`Tid`]s.
@@ -201,6 +206,84 @@ proptest! {
         let final_view = eval(&q, &db.without(&committed)).expect("evaluates");
         for t in &targets {
             prop_assert!(!final_view.contains(t), "{} survived the serving loop", t);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The serving-loop `*_turn` solvers (cached indexes, patched in place
+    /// across commits) return exactly what re-stamping from the touch
+    /// skeleton returns — at every turn, for repeat targets, under both
+    /// objectives.
+    #[test]
+    fn cached_turn_solvers_match_restamping(
+        (q, _) in typed_query(),
+        db in small_database(),
+        picks in proptest::collection::vec(any::<prop::sample::Index>(), 1..5),
+    ) {
+        let mut ctx = DeletionContext::new(&q, &db).expect("builds");
+        let opts = ExactOptions::default();
+        for pick in &picks {
+            let view: Vec<Tuple> = ctx.why().iter().map(|(t, _)| t.clone()).collect();
+            if view.is_empty() {
+                break;
+            }
+            for t in view.iter().take(3) {
+                // Cached turn solve vs per-call re-stamp (`&self` entry
+                // point), same context state.
+                let cached = ctx.min_view_side_effects_turn(t, &opts).expect("solves");
+                let fresh = ctx.min_view_side_effects(t, &opts).expect("solves");
+                prop_assert_eq!(&cached, &fresh, "view objective, target {}", t);
+                let cached = ctx.min_source_deletion_turn(t).expect("solves");
+                let fresh = ctx.min_source_deletion(t).expect("solves");
+                prop_assert_eq!(&cached, &fresh, "source objective, target {}", t);
+            }
+            prop_assert!(ctx.cached_index_count() > 0);
+            // Commit a deletion; the cache is patched or evicted, never
+            // left stale (the next iteration re-probes repeat targets).
+            let target = &view[pick.index(view.len())];
+            let sol = ctx.min_view_side_effects_turn(target, &opts).expect("solves");
+            ctx.apply_delete(&sol.deletions);
+        }
+    }
+
+    /// The apply-loop per-class fast paths (SPU linear scan, SJ component
+    /// scan) commit exactly what the exact search would have committed;
+    /// the source objective matches the exact hitting set's cost and its
+    /// committed deletions verify combinatorially at every turn.
+    #[test]
+    fn apply_loop_fast_paths_match_exact_search((q, _) in typed_query(), db in small_database()) {
+        let view = eval(&q, &db).expect("evaluates");
+        let targets = view.tuples.clone();
+        let sols = delete_min_view_side_effects_apply_many(&q, &db, &targets).expect("serves");
+        let mut ctx = DeletionContext::new(&q, &db).expect("builds");
+        let opts = ExactOptions::default();
+        for (t, sol) in targets.iter().zip(&sols) {
+            if !ctx.contains(t) {
+                prop_assert!(sol.is_none(), "removed targets resolve to None");
+                continue;
+            }
+            let exact = ctx.min_view_side_effects(t, &opts).expect("solves");
+            let sol = sol.as_ref().expect("live targets resolve");
+            prop_assert_eq!(sol, &exact, "target {}", t);
+            ctx.apply_delete(&sol.deletions);
+        }
+        let sols = delete_min_source_apply_many(&q, &db, &targets).expect("serves");
+        let mut ctx = DeletionContext::new(&q, &db).expect("builds");
+        for (t, sol) in targets.iter().zip(&sols) {
+            if !ctx.contains(t) {
+                prop_assert!(sol.is_none());
+                continue;
+            }
+            let sol = sol.as_ref().expect("live targets resolve");
+            let exact = ctx.min_source_deletion(t).expect("solves");
+            prop_assert_eq!(sol.source_cost(), exact.source_cost(), "target {}", t);
+            let inst = ctx.for_target(t).expect("in view");
+            prop_assert!(inst.deletes_target(&sol.deletions));
+            prop_assert_eq!(&sol.view_side_effects, &inst.side_effects(&sol.deletions));
+            ctx.apply_delete(&sol.deletions);
         }
     }
 }
