@@ -1,204 +1,145 @@
 //! Race the unified 0/1-ILP deletion solver (`dap_core::ilp`) against the
-//! specialized solver stack on one workload per dichotomy class and emit
+//! routed dichotomy arms on one workload per dichotomy class and emit
 //! `BENCH_ilp.json`.
 //!
 //! ```text
 //! cargo run --release -p dap-bench --bin report_ilp
 //! ```
 //!
-//! Every row solves the **same** target with the class's specialized
-//! solver (SPU closed form, SJ component scan, chain min-cut, PJ exact
-//! branch-and-bound / hitting set) and with the generic pseudo-Boolean
-//! encoding, then asserts the optima are **cost-identical** — the
+//! Every row solves the **same** target on **one** warm context twice:
+//! through `DeletionContext::solve` (the arm the query's class routes to:
+//! SPU whole support, SJ component scan, chain min-cut for the source
+//! objective, exact branch-and-bound / hitting set otherwise) and through
+//! the ILP turn for the same objective. Both read the context's cached
+//! witness index, so a row times the two solvers and not a provenance
+//! build. Each row asserts the optima are **cost-identical** — the
 //! correctness contract of the unified solver, checked unconditionally on
 //! every run (there is no wall-clock bar to shelter from noisy runners;
 //! the timings are reported for the record, the assertion is the point).
 
 use dap_bench::{chain_workload, median_time, pj_multiwitness_workload, sj_workload, spu_workload};
 use dap_core::deletion::view_side_effect::ExactOptions;
-use dap_core::deletion::{Deletion, DeletionContext};
-use dap_core::ilp::IlpOptions;
+use dap_core::{Deletion, DeletionContext, IlpOptions, Objective, SolverKind};
+use dap_relalg::Tuple;
 use std::time::Duration;
 
 const RUNS: usize = 9;
 
 /// One measured comparison: a dichotomy class, the objective solved, the
-/// instance's support/frontier sizes, both timings, and both optima.
+/// arm `solve` routed to, the instance's support/frontier sizes, both
+/// timings, and both optima.
 struct Row {
     class: &'static str,
-    objective: &'static str,
+    objective: Objective,
+    arm: SolverKind,
     support: usize,
     frontier: usize,
-    specialized: Duration,
+    routed: Duration,
     ilp: Duration,
-    cost_specialized: usize,
+    cost_routed: usize,
     cost_ilp: usize,
 }
 
 fn race(
     class: &'static str,
-    objective: &'static str,
-    ctx: &DeletionContext,
-    target: &dap_relalg::Tuple,
-    mut specialized: impl FnMut() -> Deletion,
-    mut ilp: impl FnMut() -> Deletion,
-    cost: impl Fn(&Deletion) -> usize,
+    ctx: &mut DeletionContext,
+    target: &Tuple,
+    objective: Objective,
 ) -> Row {
+    let exact = ExactOptions::default();
+    let ilp_opts = IlpOptions::default();
+    let solve = |ctx: &mut DeletionContext| ctx.solve(target, objective, &exact).expect("solves");
+    let ilp = |ctx: &mut DeletionContext| {
+        match objective {
+            Objective::View => ctx.min_view_side_effects_ilp_turn(target, &ilp_opts),
+            Objective::Source => ctx.min_source_deletion_ilp_turn(target, &ilp_opts),
+        }
+        .expect("solves")
+    };
+    let cost = |d: &Deletion| match objective {
+        Objective::View => d.view_cost(),
+        Objective::Source => d.source_cost(),
+    };
     let (inst, idx) = ctx.instance_and_index(target).expect("target in view");
-    // Warm both paths once (page-in, allocator) before timing.
-    let (mut spec_sol, mut ilp_sol) = (specialized(), ilp());
-    let spec_t = median_time(RUNS, || spec_sol = specialized());
-    let ilp_t = median_time(RUNS, || ilp_sol = ilp());
+    // Warm both paths once (the cached index, page-in, allocator) before
+    // timing.
+    let (mut routed, mut arm) = solve(ctx);
+    let mut ilp_sol = ilp(ctx);
+    let routed_t = median_time(RUNS, || (routed, arm) = solve(ctx));
+    let ilp_t = median_time(RUNS, || ilp_sol = ilp(ctx));
     let row = Row {
         class,
         objective,
+        arm,
         support: inst.support.len(),
         frontier: idx.frontier_len(),
-        specialized: spec_t,
+        routed: routed_t,
         ilp: ilp_t,
-        cost_specialized: cost(&spec_sol),
+        cost_routed: cost(&routed),
         cost_ilp: cost(&ilp_sol),
     };
     assert_eq!(
-        row.cost_specialized, row.cost_ilp,
-        "{class}/{objective}: the unified ILP must match the specialized optimum"
+        row.cost_routed, row.cost_ilp,
+        "{class}/{objective}: the unified ILP must match the routed optimum"
     );
     row
 }
 
 fn main() {
     println!("==============================================================");
-    println!(" ilp_unified — specialized dichotomy solvers vs 0/1-ILP");
+    println!(" ilp_unified — routed dichotomy arms vs 0/1-ILP");
     println!("==============================================================\n");
     println!(
-        "{:>8} {:>8} {:>8} {:>9} {:>14} {:>14} {:>6} {:>6}",
-        "class", "obj", "support", "frontier", "specialized", "ilp", "cost", "same"
+        "{:>6} {:>7} {:>12} {:>8} {:>9} {:>14} {:>14} {:>5} {:>5}",
+        "class", "obj", "arm", "support", "frontier", "routed", "ilp", "cost", "same"
     );
 
-    let exact = ExactOptions::default();
-    let opts = IlpOptions::default();
+    let workloads = [
+        ("SPU", spu_workload(11, 40)),
+        ("SJ", sj_workload(13, 40)),
+        ("chain", chain_workload(7, 3, 8)),
+        ("PJ", pj_multiwitness_workload(8, 4, 8)),
+    ];
     let mut rows: Vec<Row> = Vec::new();
-
-    let w = spu_workload(11, 40);
-    let ctx = DeletionContext::new(&w.query, &w.db).expect("builds");
-    rows.push(race(
-        "SPU",
-        "view",
-        &ctx,
-        &w.target,
-        || ctx.spu_view_deletion(&w.target).expect("SPU class"),
-        || {
-            ctx.min_view_side_effects_ilp(&w.target, &opts)
-                .expect("solves")
-        },
-        Deletion::view_cost,
-    ));
-    rows.push(race(
-        "SPU",
-        "source",
-        &ctx,
-        &w.target,
-        || ctx.min_source_deletion(&w.target).expect("solves"),
-        || {
-            ctx.min_source_deletion_ilp(&w.target, &opts)
-                .expect("solves")
-        },
-        Deletion::source_cost,
-    ));
-
-    let w = sj_workload(13, 40);
-    let ctx = DeletionContext::new(&w.query, &w.db).expect("builds");
-    rows.push(race(
-        "SJ",
-        "view",
-        &ctx,
-        &w.target,
-        || {
-            dap_core::deletion::view_side_effect::sj_view_deletion(&w.query, &w.db, &w.target)
-                .expect("SJ class")
-        },
-        || {
-            ctx.min_view_side_effects_ilp(&w.target, &opts)
-                .expect("solves")
-        },
-        Deletion::view_cost,
-    ));
-
-    let w = chain_workload(7, 3, 8);
-    let ctx = DeletionContext::new(&w.query, &w.db).expect("builds");
-    rows.push(race(
-        "chain",
-        "source",
-        &ctx,
-        &w.target,
-        || ctx.chain_min_source_deletion(&w.target).expect("chain"),
-        || {
-            ctx.min_source_deletion_ilp(&w.target, &opts)
-                .expect("solves")
-        },
-        Deletion::source_cost,
-    ));
-
-    let w = pj_multiwitness_workload(8, 4, 8);
-    let ctx = DeletionContext::new(&w.query, &w.db).expect("builds");
-    rows.push(race(
-        "PJ",
-        "view",
-        &ctx,
-        &w.target,
-        || {
-            ctx.min_view_side_effects(&w.target, &exact)
-                .expect("solves")
-        },
-        || {
-            ctx.min_view_side_effects_ilp(&w.target, &opts)
-                .expect("solves")
-        },
-        Deletion::view_cost,
-    ));
-    rows.push(race(
-        "PJ",
-        "source",
-        &ctx,
-        &w.target,
-        || ctx.min_source_deletion(&w.target).expect("solves"),
-        || {
-            ctx.min_source_deletion_ilp(&w.target, &opts)
-                .expect("solves")
-        },
-        Deletion::source_cost,
-    ));
+    for (class, w) in &workloads {
+        let mut ctx = DeletionContext::new(&w.query, &w.db).expect("builds");
+        for objective in [Objective::View, Objective::Source] {
+            rows.push(race(class, &mut ctx, &w.target, objective));
+        }
+    }
 
     let mut json = String::from("{\n  \"bench\": \"ilp_unified\",\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         println!(
-            "{:>8} {:>8} {:>8} {:>9} {:>14?} {:>14?} {:>6} {:>6}",
+            "{:>6} {:>7} {:>12} {:>8} {:>9} {:>14?} {:>14?} {:>5} {:>5}",
             r.class,
             r.objective,
+            format!("{:?}", r.arm),
             r.support,
             r.frontier,
-            r.specialized,
+            r.routed,
             r.ilp,
-            r.cost_specialized,
-            r.cost_specialized == r.cost_ilp,
+            r.cost_routed,
+            r.cost_routed == r.cost_ilp,
         );
         json.push_str(&format!(
-            "    {{\"class\": \"{}\", \"objective\": \"{}\", \"support\": {}, \
-             \"frontier\": {}, \"specialized_ns\": {}, \"ilp_ns\": {}, \
+            "    {{\"class\": \"{}\", \"objective\": \"{}\", \"arm\": \"{:?}\", \
+             \"support\": {}, \"frontier\": {}, \"specialized_ns\": {}, \"ilp_ns\": {}, \
              \"cost_specialized\": {}, \"cost_ilp\": {}, \"identical_cost\": {}}}{}\n",
             r.class,
             r.objective,
+            r.arm,
             r.support,
             r.frontier,
-            r.specialized.as_nanos(),
+            r.routed.as_nanos(),
             r.ilp.as_nanos(),
-            r.cost_specialized,
+            r.cost_routed,
             r.cost_ilp,
-            r.cost_specialized == r.cost_ilp,
+            r.cost_routed == r.cost_ilp,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
-    let all = rows.iter().all(|r| r.cost_specialized == r.cost_ilp);
+    let all = rows.iter().all(|r| r.cost_routed == r.cost_ilp);
     json.push_str(&format!("  ],\n  \"all_identical_costs\": {all}\n}}\n"));
     std::fs::write("BENCH_ilp.json", &json).expect("write BENCH_ilp.json");
     println!("\nwrote BENCH_ilp.json");

@@ -186,8 +186,9 @@ pub fn chain_min_source_deletion(q: &Query, db: &Database, target: &Tuple) -> Re
 /// path set *is* the witness set and a minimum node cut is a minimum
 /// hitting set, i.e. a minimum source deletion **against the current
 /// view**. Side effects are read off the index counters (patched state
-/// again), not off a re-evaluation of the stale original database.
-fn chain_cut_on(chain: &ChainJoin, idx: &mut WitnessIndex) -> Result<Deletion> {
+/// again), not off a re-evaluation of the stale original database. This is
+/// [`DeletionContext::solve`]'s chain arm; it leaves the index clean.
+pub(crate) fn chain_cut_on(chain: &ChainJoin, idx: &mut WitnessIndex) -> Deletion {
     let layer_of: HashMap<&RelName, usize> = chain
         .order
         .iter()
@@ -231,18 +232,7 @@ fn chain_cut_on(chain: &ChainJoin, idx: &mut WitnessIndex) -> Result<Deletion> {
     let (value, cut) = graph.min_node_cut();
     debug_assert!(value >= 1, "a target in the view has a witness path");
     debug_assert_eq!(value as usize, cut.len());
-    for &slot in &cut {
-        idx.insert_slot(slot);
-    }
-    debug_assert!(idx.deletes_target(), "the cut hits every witness");
-    let sol = Deletion {
-        deletions: idx.deleted_tids(),
-        view_side_effects: idx.side_effects(),
-    };
-    for &slot in &cut {
-        idx.remove_slot(slot);
-    }
-    Ok(sol)
+    idx.deletion_of(cut.iter().copied())
 }
 
 impl DeletionContext {
@@ -261,21 +251,7 @@ impl DeletionContext {
         let chain =
             detect_chain_join(self.query(), &self.db().catalog()).ok_or(CoreError::NotAChain)?;
         let (_, mut idx) = self.instance_and_index(target)?;
-        chain_cut_on(&chain, &mut idx)
-    }
-
-    /// [`DeletionContext::chain_min_source_deletion`] for the serving
-    /// loop: solves on the target's cached, in-place-patched
-    /// [`WitnessIndex`] (same cache as the other `*_turn` entry points —
-    /// the chain class no longer bypasses it). Identical solutions to the
-    /// uncached entry point.
-    pub fn chain_min_source_turn(&mut self, target: &Tuple) -> Result<Deletion> {
-        let chain =
-            detect_chain_join(self.query(), &self.db().catalog()).ok_or(CoreError::NotAChain)?;
-        let mut idx = self.take_index(target)?;
-        let sol = chain_cut_on(&chain, &mut idx);
-        self.cache_index(target, idx);
-        sol
+        Ok(chain_cut_on(&chain, &mut idx))
     }
 }
 
@@ -283,6 +259,9 @@ impl DeletionContext {
 mod tests {
     use super::*;
     use crate::deletion::source_side_effect::min_source_deletion;
+    use crate::deletion::view_side_effect::ExactOptions;
+    use crate::deletion::Objective;
+    use crate::dichotomy::SolverKind;
     use dap_relalg::{parse_database, parse_query, tuple};
 
     fn chain_db() -> Database {
@@ -426,9 +405,12 @@ mod tests {
         // fixes.
         let stale = chain_min_source_deletion(&q, &db, &t).unwrap();
         assert_eq!(stale.source_cost(), 2, "stale network, stale cut");
-        // The turn variant (cached index) returns the identical solution.
-        let turn = ctx.chain_min_source_turn(&t).unwrap();
-        assert_eq!(turn, sol);
+        // The routed solve (cached index) returns the identical solution.
+        let (routed, kind) = ctx
+            .solve(&t, Objective::Source, &ExactOptions::default())
+            .unwrap();
+        assert_eq!(kind, SolverKind::ChainMinCut);
+        assert_eq!(routed, sol);
         assert_eq!(ctx.cached_index_count(), 1);
         // A target an earlier commit removed errors as not-in-view instead
         // of resolving against the stale database.
@@ -436,11 +418,14 @@ mod tests {
             ctx.chain_min_source_deletion(&tuple(["a", "e"])),
             Err(CoreError::TargetNotInView { .. })
         ));
-        // The packaged source-objective turn handles it as None.
-        let gone = ctx
-            .resolve_source_after_delete(&BTreeSet::new(), &tuple(["a", "e"]))
-            .unwrap();
-        assert!(gone.is_none());
+        assert!(matches!(
+            ctx.solve(
+                &tuple(["a", "e"]),
+                Objective::Source,
+                &ExactOptions::default()
+            ),
+            Err(CoreError::TargetNotInView { .. })
+        ));
     }
 
     #[test]
@@ -452,7 +437,10 @@ mod tests {
         let committed = BTreeSet::from([db.tid_of("R2", &tuple(["b2", "c2"])).unwrap()]);
         ctx.apply_delete(&committed);
         let t = tuple(["a", "d"]);
-        let sol = ctx.chain_min_source_turn(&t).unwrap();
+        let (sol, kind) = ctx
+            .solve(&t, Objective::Source, &ExactOptions::default())
+            .unwrap();
+        assert_eq!(kind, SolverKind::ChainMinCut);
         // Verify against re-evaluation on the patched database.
         let db_now = db.without(ctx.committed());
         let before = eval(&q, &db_now).unwrap();

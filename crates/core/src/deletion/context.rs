@@ -2,8 +2,7 @@
 //! since the context's annotated view is **maintained**, surviving the
 //! deletions it recommends.
 //!
-//! Every deletion solver needs the why-provenance of the view — and before
-//! this module each per-target entry point recomputed it from scratch.
+//! Every deletion solver needs the why-provenance of the view.
 //! [`DeletionContext`] registers its query in a
 //! [`PlanRegistry<WitnessesAnn>`] **once**, derives the why-provenance and
 //! the tuple-id → view-tuple *touch skeleton* of the witness hypergraph
@@ -12,16 +11,29 @@
 //! frontier-restricted [`WitnessIndex`]es ([`DeletionContext::index_for`])
 //! in time proportional to the target's neighborhood, not the view.
 //!
+//! [`DeletionContext::solve`] is the one place a deletion solve is routed.
+//! The context reads its query's dichotomy class once, at build, and each
+//! solve runs that class's arm on the target's cached index: the whole
+//! support for SPU (Thms 2.3 / 2.8), the component scan for SJ
+//! (Thms 2.4 / 2.9), the min node cut for chain joins under the source
+//! objective (Thm 2.6), and the exact searches for everything else. The
+//! CLI, the one-shot dispatchers in [`crate::dichotomy`] and `dap serve`
+//! all solve through it. The uncached `&self` methods
+//! ([`DeletionContext::min_view_side_effects`],
+//! [`DeletionContext::min_source_deletion`],
+//! [`DeletionContext::spu_view_deletion`],
+//! [`DeletionContext::chain_min_source_deletion`]) stamp a fresh index and
+//! run the same arm functions; the free functions in
+//! [`crate::deletion::view_side_effect`] and
+//! [`crate::deletion::source_side_effect`] build a context for their single
+//! target.
+//!
 //! The registry is what turns the context from a per-query calculator into
 //! a serving loop: after a solver commits a deletion, the context pushes it
 //! through the registry in `O(affected)`, patches the why-provenance and
 //! the touch skeleton from the returned [`ViewDelta`], and the next target
 //! is solved against the *updated* view — no re-evaluation, no context
-//! rebuild. [`DeletionContext::resolve_after_delete`] packages one turn of
-//! that apply-and-re-solve loop; the batched
-//! `delete_min_view_side_effects_apply_many` /
-//! `delete_min_source_apply_many` dispatchers in [`crate::dichotomy`] run
-//! it over whole target lists.
+//! rebuild. A serving loop is `solve`, then `apply_delete`, per target.
 //!
 //! The registry is either the context's own or shared:
 //!
@@ -38,22 +50,19 @@
 //! Both kinds commit the same way: `apply_delete` is `apply_delete_in` on
 //! the private registry, and every context patches itself from its
 //! query's subscription stream.
-//!
-//! The solver entry points live here as methods
-//! ([`DeletionContext::min_view_side_effects`],
-//! [`DeletionContext::side_effect_free`],
-//! [`DeletionContext::min_source_deletion`],
-//! [`DeletionContext::greedy_source_deletion`]); the free functions in
-//! [`crate::deletion::view_side_effect`] and
-//! [`crate::deletion::source_side_effect`] are now thin wrappers that build
-//! a context for their single target.
 
+use crate::deletion::chain::chain_cut_on;
 use crate::deletion::index::WitnessIndex;
-use crate::deletion::view_side_effect::ExactOptions;
-use crate::deletion::{Deletion, DeletionInstance};
+use crate::deletion::source_side_effect::min_source_deletion_on;
+use crate::deletion::view_side_effect::{min_view_side_effects_on, sj_on, spu_on, ExactOptions};
+use crate::deletion::{Deletion, DeletionInstance, Objective};
+use crate::dichotomy::SolverKind;
 use crate::error::{CoreError, Result};
 use dap_provenance::{WhyProvenance, Witness, WitnessesAnn};
-use dap_relalg::{Database, ParPool, PlanRegistry, Query, QueryId, Schema, Tid, Tuple, ViewDelta};
+use dap_relalg::{
+    detect_chain_join, ChainJoin, Database, OpFootprint, ParPool, PlanRegistry, Query, QueryId,
+    Schema, Tid, Tuple, ViewDelta, BUILD_GRAIN,
+};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -62,6 +71,36 @@ use std::sync::Arc;
 /// repeat targets; prevents one-pass sweeps over huge views from
 /// accumulating an index per view tuple.
 const MAX_CACHED_INDEXES: usize = 256;
+
+/// The dichotomy class of a context's query, read once at build: which
+/// arm [`DeletionContext::solve`] runs. The classes are checked in this
+/// order, so a pure join chain routes as SJ.
+#[derive(Clone, Debug)]
+enum Route {
+    /// No join, no rename: SPU (Thms 2.3 / 2.8).
+    Spu,
+    /// No projection, no union: SJ (Thms 2.4 / 2.9).
+    Sj,
+    /// A chain join (Thm 2.6 under the source objective).
+    Chain(ChainJoin),
+    /// Every other query: the NP-hard classes.
+    Other,
+}
+
+impl Route {
+    fn of(query: &Query, db: &Database) -> Route {
+        let fp = OpFootprint::of(query);
+        if !fp.join && !fp.rename {
+            Route::Spu
+        } else if !fp.project && !fp.union_ {
+            Route::Sj
+        } else if let Some(chain) = detect_chain_join(query, &db.catalog()) {
+            Route::Chain(chain)
+        } else {
+            Route::Other
+        }
+    }
+}
 
 /// The view skeleton every context derives from its annotated view at
 /// build time: the why-provenance plus the inverted tid → view-tuple touch
@@ -111,14 +150,18 @@ pub struct DeletionContext {
     /// (entries may go stale — dead or no-longer-touching slots are
     /// filtered on read — but are never missing).
     touching: HashMap<Tid, Vec<usize>>,
-    /// Every source tuple deleted through this context so far.
-    committed: BTreeSet<Tid>,
+    /// Every source tuple deleted through this context so far, shared
+    /// with the instances stamped from it (commits copy it only while an
+    /// instance still holds the old snapshot).
+    committed: Arc<BTreeSet<Tid>>,
+    /// The arm [`DeletionContext::solve`] runs.
+    route: Route,
     /// Per-target [`WitnessIndex`]es kept warm across serving-loop turns
-    /// (the `*_turn` solver entry points): [`DeletionContext::apply_delete`]
-    /// patches each cached index in place when it can
-    /// ([`WitnessIndex::retire_tuple`]) and evicts it when the deletion
-    /// touched the index's structure, so repeat targets skip the
-    /// re-stamp from the touch skeleton entirely.
+    /// ([`DeletionContext::solve`] and the ILP turns):
+    /// [`DeletionContext::apply_delete`] patches each cached index in
+    /// place when it can ([`WitnessIndex::retire_tuple`]) and evicts it
+    /// when the deletion touched the index's structure, so repeat targets
+    /// skip the re-stamp from the touch skeleton entirely.
     index_cache: HashMap<Tuple, WitnessIndex>,
 }
 
@@ -129,13 +172,8 @@ impl DeletionContext {
     /// the input crosses the build grain; the context is identical for
     /// every pool size.
     pub fn new(query: &Query, db: &Database) -> Result<DeletionContext> {
-        DeletionContext::new_shared(Arc::new(query.clone()), Arc::new(db.clone()))
-    }
-
-    /// Like [`DeletionContext::new`], from shared handles.
-    pub fn new_shared(query: Arc<Query>, db: Arc<Database>) -> Result<DeletionContext> {
-        let mut reg = PlanRegistry::new_shared(db);
-        let mut ctx = DeletionContext::registered(&mut reg, query)?;
+        let mut reg = PlanRegistry::new_shared(Arc::new(db.clone()));
+        let mut ctx = DeletionContext::registered(&mut reg, Arc::new(query.clone()))?;
         ctx.own = Some(reg);
         Ok(ctx)
     }
@@ -167,6 +205,7 @@ impl DeletionContext {
     ) -> Result<DeletionContext> {
         let id = reg.register(&query)?;
         reg.subscribe(id);
+        let route = Route::of(&query, reg.db());
         let sk = DeletionContext::build_skeleton(
             reg.query_schema(id).clone(),
             reg.iter_query(id).collect(),
@@ -183,7 +222,8 @@ impl DeletionContext {
             index_of: sk.index_of,
             touch_of: sk.touch_of,
             touching: sk.touching,
-            committed: reg.committed().clone(),
+            committed: Arc::new(reg.committed().clone()),
+            route,
             index_cache: HashMap::new(),
         })
     }
@@ -203,7 +243,7 @@ impl DeletionContext {
         // makes the BTreeSet's Tid compares pointer-shortcut integer work
         // rather than byte walks.
         let prepared: Vec<(Tuple, Vec<Witness>, BTreeSet<Tid>)> =
-            pool.par_ranges(entries.len(), 64, |range| {
+            pool.par_ranges(entries.len(), BUILD_GRAIN, |range| {
                 range
                     .map(|i| {
                         let (t, ann) = entries[i];
@@ -272,8 +312,8 @@ impl DeletionContext {
         &self.committed
     }
 
-    /// Number of per-target indexes currently kept warm by the `*_turn`
-    /// entry points (diagnostics and tests).
+    /// Number of per-target indexes currently kept warm by
+    /// [`DeletionContext::solve`] and the ILP turns (diagnostics and tests).
     pub fn cached_index_count(&self) -> usize {
         self.index_cache.len()
     }
@@ -338,7 +378,7 @@ impl DeletionContext {
         }
         // A no-op batch may not reach the outbox, but the registry still
         // records it for future registrations — mirror that here.
-        self.committed.extend(tids.iter().cloned());
+        Arc::make_mut(&mut self.committed).extend(tids.iter().cloned());
         self.sync_in(reg);
         own
     }
@@ -402,14 +442,14 @@ impl DeletionContext {
             self.touch_of[i] = touch;
             why.set_witnesses(t, ws);
         }
-        self.committed.extend(tids.iter().cloned());
+        Arc::make_mut(&mut self.committed).extend(tids.iter().cloned());
         self.patch_index_cache(delta, tids);
     }
 
     /// Carry the cached per-target indexes across a committed deletion:
     /// **patch in place** where the delta provably left the index's
-    /// structure intact, evict otherwise (the next `*_turn` call
-    /// re-stamps). The case analysis leans on one fact: a view tuple whose
+    /// structure intact, evict otherwise (the next solve re-stamps). The
+    /// case analysis leans on one fact: a view tuple whose
     /// basis survives a deletion *unchanged* has no witness containing a
     /// deleted tid — so if the cached target itself is untouched, its
     /// support and witness sets are untouched, and the only in-index
@@ -492,65 +532,49 @@ impl DeletionContext {
         self.index_cache.insert(target.clone(), idx);
     }
 
-    /// One turn of the serving loop: commit `deletions`, then re-solve the
-    /// minimum-view-side-effect problem for `target` against the patched
-    /// view. Returns `None` if `target` is no longer (or never was) in the
-    /// view once the commit lands — there is nothing left to delete.
-    pub fn resolve_after_delete(
+    /// Solve the deletion problem for `target` under `objective`, routed
+    /// by the query's dichotomy class (decided once, at build):
+    ///
+    /// * SPU: the whole support, optimal for both objectives (Thms 2.3,
+    ///   2.8);
+    /// * SJ: the component scan, optimal for both objectives (Thms 2.4,
+    ///   2.9);
+    /// * chain join, source objective: the min node cut (Thm 2.6);
+    /// * anything else: the exact branch-and-bound for the view objective,
+    ///   the exact hitting set for the source objective, both capped at
+    ///   `opts.node_budget` nodes.
+    ///
+    /// Runs on the target's cached [`WitnessIndex`] (stamping one on a
+    /// miss) and returns it to the cache clean. Errors with
+    /// [`CoreError::TargetNotInView`] when the current view lacks the
+    /// target and [`CoreError::BudgetExhausted`] when an exact arm runs
+    /// out of nodes.
+    pub fn solve(
         &mut self,
-        deletions: &BTreeSet<Tid>,
         target: &Tuple,
+        objective: Objective,
         opts: &ExactOptions,
-    ) -> Result<Option<Deletion>> {
-        self.apply_delete(deletions);
-        if !self.contains(target) {
-            return Ok(None);
-        }
-        // The cached-index turn solver: repeat targets reuse (and the
-        // apply above may have patched in place) their stamped index.
-        self.min_view_side_effects_turn(target, opts).map(Some)
-    }
-
-    /// [`DeletionContext::resolve_after_delete`] for a registry-backed
-    /// context: commit `deletions` through the shared registry (syncing in
-    /// anything other contexts committed first), then re-solve `target`
-    /// against the patched view. `None` once the commit removes `target`.
-    pub fn resolve_after_delete_in(
-        &mut self,
-        reg: &mut PlanRegistry<WitnessesAnn>,
-        deletions: &BTreeSet<Tid>,
-        target: &Tuple,
-        opts: &ExactOptions,
-    ) -> Result<Option<Deletion>> {
-        self.apply_delete_in(reg, deletions);
-        if !self.contains(target) {
-            return Ok(None);
-        }
-        self.min_view_side_effects_turn(target, opts).map(Some)
-    }
-
-    /// [`DeletionContext::resolve_after_delete`] for the **source**
-    /// objective: commit `deletions`, then find a minimum source deletion
-    /// for `target` against the patched view — through the maintained
-    /// chain min-cut ([`DeletionContext::chain_min_source_turn`]) when the
-    /// query is a chain join, the exact hitting-set turn otherwise. Both
-    /// routes read the patched why-provenance and go through the cached
-    /// per-target indexes.
-    pub fn resolve_source_after_delete(
-        &mut self,
-        deletions: &BTreeSet<Tid>,
-        target: &Tuple,
-    ) -> Result<Option<Deletion>> {
-        self.apply_delete(deletions);
-        if !self.contains(target) {
-            return Ok(None);
-        }
-        let sol = if dap_relalg::detect_chain_join(&self.query, &self.db.catalog()).is_some() {
-            self.chain_min_source_turn(target)?
-        } else {
-            self.min_source_deletion_turn(target)?
+    ) -> Result<(Deletion, SolverKind)> {
+        let mut idx = self.take_index(target)?;
+        // A budget abort leaves the index dirty: `?` drops it, and the
+        // next solve re-stamps from the skeleton.
+        let solved = match (&self.route, objective) {
+            (Route::Spu, _) => (spu_on(&mut idx), SolverKind::Spu),
+            (Route::Sj, _) => (sj_on(&mut idx), SolverKind::Sj),
+            (Route::Chain(chain), Objective::Source) => {
+                (chain_cut_on(chain, &mut idx), SolverKind::ChainMinCut)
+            }
+            (_, Objective::View) => (
+                min_view_side_effects_on(&mut idx, opts)?,
+                SolverKind::ExactSearch,
+            ),
+            (_, Objective::Source) => (
+                min_source_deletion_on(&mut idx, opts)?,
+                SolverKind::ExactSearch,
+            ),
         };
-        Ok(Some(sol))
+        self.cache_index(target, idx);
+        Ok(solved)
     }
 
     /// Stamp out the [`DeletionInstance`] for `target`, sharing the query,
@@ -572,7 +596,7 @@ impl DeletionContext {
             why: self.why.clone(),
             target_witnesses,
             support: support.into_iter().collect(),
-            committed: self.committed.clone(),
+            committed: Arc::clone(&self.committed),
         })
     }
 
@@ -694,6 +718,8 @@ mod tests {
         assert!(Arc::ptr_eq(&a.why, &b.why));
         assert!(Arc::ptr_eq(&a.query, &b.query));
         assert!(Arc::ptr_eq(&a.db, &b.db));
+        assert!(Arc::ptr_eq(&a.committed, &ctx.committed));
+        assert!(Arc::ptr_eq(&a.committed, &b.committed));
     }
 
     #[test]
@@ -782,50 +808,82 @@ mod tests {
     }
 
     #[test]
-    fn resolve_after_delete_in_runs_on_the_shared_view() {
+    fn solve_after_apply_delete_in_runs_on_the_shared_view() {
         let (q, db) = fixture();
         let mut reg = PlanRegistry::<WitnessesAnn>::new(&db);
         let mut ctx = DeletionContext::new_in_registry(&mut reg, &q).unwrap();
         let opts = ExactOptions::default();
-        let first = ctx
-            .min_view_side_effects(&tuple(["bob", "report"]), &opts)
+        let (first, _) = ctx
+            .solve(&tuple(["bob", "report"]), Objective::View, &opts)
             .unwrap();
         assert!(first.is_side_effect_free());
-        let second = ctx
-            .resolve_after_delete_in(&mut reg, &first.deletions, &tuple(["ann", "report"]), &opts)
-            .unwrap()
-            .expect("(ann, report) survives the first deletion");
+        ctx.apply_delete_in(&mut reg, &first.deletions);
+        // (ann, report) survives the first deletion.
+        let (second, _) = ctx
+            .solve(&tuple(["ann", "report"]), Objective::View, &opts)
+            .unwrap();
         let inst = ctx.for_target(&tuple(["ann", "report"])).unwrap();
         assert!(inst.verify_against_reevaluation(&second.deletions).unwrap());
     }
 
     #[test]
-    fn resolve_after_delete_runs_on_the_patched_view() {
+    fn solve_after_apply_delete_runs_on_the_patched_view() {
         let (q, db) = fixture();
         let mut ctx = DeletionContext::new(&q, &db).unwrap();
         let opts = ExactOptions::default();
-        let first = ctx
-            .min_view_side_effects(&tuple(["bob", "report"]), &opts)
+        let (first, kind) = ctx
+            .solve(&tuple(["bob", "report"]), Objective::View, &opts)
             .unwrap();
+        assert_eq!(
+            kind,
+            SolverKind::ExactSearch,
+            "a two-relation chain, view objective"
+        );
         assert!(first.is_side_effect_free());
-        // Commit it, then ask for the next target in the same loop.
-        let second = ctx
-            .resolve_after_delete(&first.deletions, &tuple(["ann", "report"]), &opts)
-            .unwrap()
-            .expect("(ann, report) survives the first deletion");
+        // Commit it, then solve the next target in the same loop.
+        ctx.apply_delete(&first.deletions);
+        let (second, _) = ctx
+            .solve(&tuple(["ann", "report"]), Objective::View, &opts)
+            .unwrap();
         // Solutions verify against re-evaluation *with* the commit applied.
         let inst = ctx.for_target(&tuple(["ann", "report"])).unwrap();
         assert!(inst.verify_against_reevaluation(&second.deletions).unwrap());
-        // A target the commit already removed resolves to None.
+        // A target the commit already removed is no longer solvable.
         let mut ctx2 = DeletionContext::new(&q, &db).unwrap();
         let both: BTreeSet<Tid> = [
             db.tid_of("UserGroup", &tuple(["bob", "staff"])).unwrap(),
             db.tid_of("UserGroup", &tuple(["bob", "dev"])).unwrap(),
         ]
         .into();
-        let gone = ctx2
-            .resolve_after_delete(&both, &tuple(["bob", "main"]), &opts)
-            .unwrap();
-        assert!(gone.is_none(), "side-effected target needs no deletion");
+        ctx2.apply_delete(&both);
+        assert!(!ctx2.contains(&tuple(["bob", "main"])));
+        assert!(matches!(
+            ctx2.solve(&tuple(["bob", "main"]), Objective::View, &opts)
+                .unwrap_err(),
+            CoreError::TargetNotInView { .. }
+        ));
+    }
+
+    #[test]
+    fn solve_caches_the_index_and_budget_aborts_drop_it() {
+        let (q, db) = fixture();
+        let mut ctx = DeletionContext::new(&q, &db).unwrap();
+        let t = tuple(["bob", "report"]);
+        let unbounded = ExactOptions::default();
+        let (cold, _) = ctx.solve(&t, Objective::Source, &unbounded).unwrap();
+        assert_eq!(ctx.cached_index_count(), 1);
+        let (warm, _) = ctx.solve(&t, Objective::Source, &unbounded).unwrap();
+        assert_eq!(cold, warm);
+        assert_eq!(cold, ctx.chain_min_source_deletion(&t).unwrap());
+        assert_eq!(ctx.cached_index_count(), 1, "same target, same slot");
+        // The view search exhausts one node; the dirty index is dropped.
+        let one = ExactOptions { node_budget: 1 };
+        assert!(matches!(
+            ctx.solve(&t, Objective::View, &one).unwrap_err(),
+            CoreError::BudgetExhausted { budget: 1 }
+        ));
+        assert_eq!(ctx.cached_index_count(), 0);
+        let (view, _) = ctx.solve(&t, Objective::View, &unbounded).unwrap();
+        assert_eq!(view, ctx.min_view_side_effects(&t, &unbounded).unwrap());
     }
 }

@@ -29,7 +29,7 @@
 //! (which is all the solvers ever produce); the differential property tests
 //! in `tests/prop_witness_index.rs` pin that equivalence.
 
-use crate::deletion::DeletionInstance;
+use crate::deletion::{Deletion, DeletionInstance};
 use dap_provenance::WhyProvenance;
 use dap_relalg::{Tid, Tuple};
 use std::collections::{BTreeSet, HashMap};
@@ -349,6 +349,28 @@ impl WitnessIndex {
             .filter(|(_, d)| **d)
             .map(|(tid, _)| tid.clone())
             .collect()
+    }
+
+    /// The [`Deletion`] that deleting the support `slots` makes, for a
+    /// clean index and slots that kill the target: insert them, read the
+    /// deleted tids and side effects off the counters, and unwind, leaving
+    /// the index clean. Every solver arm ends here.
+    pub(crate) fn deletion_of(
+        &mut self,
+        slots: impl IntoIterator<Item = usize> + Clone,
+    ) -> Deletion {
+        for slot in slots.clone() {
+            self.insert_slot(slot);
+        }
+        debug_assert!(self.deletes_target(), "a solution hits every witness");
+        let sol = Deletion {
+            deletions: self.deleted_tids(),
+            view_side_effects: self.side_effects(),
+        };
+        for slot in slots {
+            self.remove_slot(slot);
+        }
+        sol
     }
 
     /// Number of currently deleted slots.

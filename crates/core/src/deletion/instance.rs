@@ -45,8 +45,9 @@ pub struct DeletionInstance {
     /// deletions stamps them here so
     /// [`DeletionInstance::verify_against_reevaluation`] evaluates the
     /// right baseline; the combinatorial answers need no adjustment —
-    /// the patched why-provenance already excludes dead tuples.
-    pub committed: BTreeSet<Tid>,
+    /// the patched why-provenance already excludes dead tuples. Shared
+    /// with the context, so stamping an instance never copies it.
+    pub committed: Arc<BTreeSet<Tid>>,
 }
 
 impl DeletionInstance {
@@ -81,7 +82,7 @@ impl DeletionInstance {
             why,
             target_witnesses,
             support: support.into_iter().collect(),
-            committed: BTreeSet::new(),
+            committed: Arc::default(),
         })
     }
 
@@ -138,7 +139,7 @@ impl DeletionInstance {
     /// [`DeletionInstance::committed`] are applied to both sides of the
     /// comparison (they happened before this problem was posed).
     pub fn verify_against_reevaluation(&self, deleted: &BTreeSet<Tid>) -> Result<bool> {
-        let mut full: BTreeSet<Tid> = self.committed.clone();
+        let mut full: BTreeSet<Tid> = (*self.committed).clone();
         full.extend(deleted.iter().cloned());
         let after = dap_relalg::eval(&self.query, &self.db.without(&full))?;
         let expected_gone = self.deletes_target(deleted);

@@ -16,6 +16,8 @@
 //! incremental witness-hypergraph index that makes per-node side-effect
 //! counting `O(Δ)`, and [`context::DeletionContext`], which materializes the
 //! why-provenance once per `(Q, S)` and stamps out per-target instances.
+//! [`DeletionContext::solve`] routes every deletion solve to one of these
+//! arms by the query's dichotomy class.
 
 pub mod chain;
 pub mod context;
@@ -33,6 +35,24 @@ pub use instance::DeletionInstance;
 use dap_relalg::{Tid, Tuple};
 use std::collections::BTreeSet;
 use std::fmt;
+
+/// Which cost a deletion solve minimizes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Objective {
+    /// View side effects `|ΔV|` (§2.1).
+    View,
+    /// Source deletions `|T|` (§2.2).
+    Source,
+}
+
+impl fmt::Display for Objective {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            Objective::View => "view",
+            Objective::Source => "source",
+        })
+    }
+}
 
 /// A solution to either deletion problem: the source tuples to delete and
 /// the resulting collateral damage in the view.

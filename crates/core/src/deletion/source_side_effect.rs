@@ -10,15 +10,19 @@
 //!   to, with the matching `Ω(log n)` lower bound \[12\];
 //! * [`spu_source_deletion`] (Thm 2.8) and [`sj_source_deletion`] (Thm 2.9)
 //!   — the polynomial classes.
+//!
+//! [`DeletionContext::solve`] runs [`min_source_deletion_on`] as its exact
+//! source arm, on the target's cached index and under the solve's node
+//! budget.
 
 use crate::deletion::index::WitnessIndex;
-use crate::deletion::view_side_effect::spu_view_deletion;
+use crate::deletion::view_side_effect::{sj_view_deletion, spu_view_deletion, ExactOptions};
 #[cfg(test)]
 use crate::deletion::DeletionInstance;
 use crate::deletion::{Deletion, DeletionContext};
 use crate::error::{CoreError, Result};
-use dap_relalg::{Database, OpFootprint, Query, Tuple};
-use dap_setcover::{exact_hitting_set, greedy_hitting_set, HittingSet};
+use dap_relalg::{Database, Query, Tuple};
+use dap_setcover::{exact_hitting_set_bounded, greedy_hitting_set, HittingSet};
 use std::collections::BTreeSet;
 
 /// Translate the target's witness hypergraph into a `dap-setcover` hitting
@@ -34,31 +38,15 @@ fn to_hitting_set(idx: &WitnessIndex) -> HittingSet {
         .expect("witnesses are non-empty and indices in range")
 }
 
-/// Materialize a solver's chosen support slots as a [`Deletion`], reading
-/// the side effects off the index counters instead of a fresh `why.iter()`
-/// hypergraph rescan, then unwind — the index is left clean for reuse
-/// (the serving loop caches it across turns).
-fn solution_from_indices(idx: &mut WitnessIndex, chosen: BTreeSet<usize>) -> Deletion {
-    for &slot in &chosen {
-        idx.insert_slot(slot);
-    }
-    debug_assert!(idx.deletes_target());
-    let sol = Deletion {
-        deletions: idx.deleted_tids(),
-        view_side_effects: idx.side_effects(),
-    };
-    for &slot in &chosen {
-        idx.remove_slot(slot);
-    }
-    sol
-}
-
 /// Exact minimum source deletion on a prebuilt (clean) index: the
-/// hitting-set search over the target's witnesses, with the side effects
-/// read off the counters. Leaves the index clean.
-pub fn min_source_deletion_on(idx: &mut WitnessIndex) -> Deletion {
-    let chosen = exact_hitting_set(&to_hitting_set(idx));
-    solution_from_indices(idx, chosen)
+/// hitting-set search over the target's witnesses, capped at
+/// `opts.node_budget` search nodes, with the side effects read off the
+/// counters. Leaves the index clean.
+pub fn min_source_deletion_on(idx: &mut WitnessIndex, opts: &ExactOptions) -> Result<Deletion> {
+    let budget = opts.node_budget;
+    let chosen = exact_hitting_set_bounded(&to_hitting_set(idx), budget)
+        .ok_or(CoreError::BudgetExhausted { budget })?;
+    Ok(idx.deletion_of(chosen.iter().copied()))
 }
 
 /// Exact minimum source deletion for any monotone SPJRU query. Worst-case
@@ -83,25 +71,14 @@ impl DeletionContext {
     /// [`min_source_deletion`] against this context's shared provenance.
     pub fn min_source_deletion(&self, target: &Tuple) -> Result<Deletion> {
         let (_, mut idx) = self.instance_and_index(target)?;
-        Ok(min_source_deletion_on(&mut idx))
-    }
-
-    /// [`DeletionContext::min_source_deletion`] for the serving loop:
-    /// solves on the target's cached, in-place-patched [`WitnessIndex`]
-    /// (see [`DeletionContext::min_view_side_effects_turn`] — same cache,
-    /// other objective). Identical solutions to the uncached entry point.
-    pub fn min_source_deletion_turn(&mut self, target: &Tuple) -> Result<Deletion> {
-        let mut idx = self.take_index(target)?;
-        let sol = min_source_deletion_on(&mut idx);
-        self.cache_index(target, idx);
-        Ok(sol)
+        min_source_deletion_on(&mut idx, &ExactOptions::default())
     }
 
     /// [`greedy_source_deletion`] against this context's shared provenance.
     pub fn greedy_source_deletion(&self, target: &Tuple) -> Result<Deletion> {
         let (_, mut idx) = self.instance_and_index(target)?;
         let chosen = greedy_hitting_set(&to_hitting_set(&idx));
-        Ok(solution_from_indices(&mut idx, chosen))
+        Ok(idx.deletion_of(chosen.iter().copied()))
     }
 }
 
@@ -119,16 +96,9 @@ pub fn spu_source_deletion(q: &Query, db: &Database, target: &Tuple) -> Result<D
 /// with the fewest view side effects (for free, since the paper leaves the
 /// choice open).
 pub fn sj_source_deletion(q: &Query, db: &Database, target: &Tuple) -> Result<Deletion> {
-    let fp = OpFootprint::of(q);
-    if fp.project || fp.union_ {
-        return Err(CoreError::WrongClass {
-            expected: "SJ (projection-free, union-free)",
-            found: fp.letters(),
-        });
-    }
-    // Thm 2.4's component scan already returns a size-1 deletion with the
-    // best view-side tie-break.
-    let sol = crate::deletion::view_side_effect::sj_view_deletion(q, db, target)?;
+    // Thm 2.4's component scan (with its class check) already returns a
+    // size-1 deletion with the best view-side tie-break.
+    let sol = sj_view_deletion(q, db, target)?;
     debug_assert_eq!(sol.source_cost(), 1);
     Ok(sol)
 }

@@ -14,18 +14,20 @@
 //! * [`side_effect_free`] decides the paper's headline question — "is there
 //!   a side-effect-free deletion?" — by running the same search capped at
 //!   zero side effects.
-//! * [`DeletionContext::min_view_side_effects_turn`] is the serving-loop
-//!   variant: it solves on the target's cached, in-place-patched
-//!   [`WitnessIndex`] instead of re-stamping one per turn, and
-//!   [`DeletionContext::spu_view_deletion`] is the Thm 2.3 linear fast
-//!   path over the maintained context for SPU-class queries.
 //! * [`spu_view_deletion`] (Thm 2.3) and [`sj_view_deletion`] (Thm 2.4) are
 //!   the polynomial algorithms for the tractable classes.
-//! * `min_view_side_effects_naive` (cargo feature `legacy-oracles`) runs
-//!   the identical search with the original per-node
-//!   [`DeletionInstance::side_effect_count`] rescans — the oracle of the
-//!   differential property tests. Both drive the same skeleton, so they
-//!   explore the same tree and return **identical** solutions.
+//!
+//! The SPU, SJ and exact arms are each one function of a
+//! [`WitnessIndex`], shared by [`DeletionContext::solve`] (which routes
+//! each solve by class, on the target's cached index) and the uncached
+//! `&self` methods ([`DeletionContext::min_view_side_effects`],
+//! [`DeletionContext::spu_view_deletion`]), which stamp a fresh index.
+//!
+//! `min_view_side_effects_naive` (cargo feature `legacy-oracles`) runs
+//! the identical search with the original per-node
+//! [`DeletionInstance::side_effect_count`] rescans — the oracle of the
+//! differential property tests. Both drive the same skeleton, so they
+//! explore the same tree and return **identical** solutions.
 
 use crate::deletion::index::WitnessIndex;
 use crate::deletion::{Deletion, DeletionContext, DeletionInstance};
@@ -33,12 +35,13 @@ use crate::error::{CoreError, Result};
 use dap_relalg::{normalize, output_schema, Database, OpFootprint, Query, Tid, Tuple};
 use std::collections::BTreeSet;
 
-/// Knobs for the exact exponential search.
+/// Knobs for the exact exponential searches.
 #[derive(Clone, Copy, Debug)]
 pub struct ExactOptions {
     /// Abort with [`CoreError::BudgetExhausted`] after this many search
-    /// nodes. The NP-hard instances grow exponentially; benches use this to
-    /// bound runs.
+    /// nodes. The NP-hard instances grow exponentially; the bound applies
+    /// to both exact arms [`DeletionContext::solve`] can reach (the view
+    /// branch-and-bound and the source hitting-set search).
     pub node_budget: u64,
 }
 
@@ -99,28 +102,12 @@ pub fn min_view_side_effects_naive(
 pub fn min_view_side_effects_on(idx: &mut WitnessIndex, opts: &ExactOptions) -> Result<Deletion> {
     debug_assert_eq!(idx.deleted_len(), 0, "index must start empty");
     let found = run_search(&mut IndexedState(idx), usize::MAX, opts)?;
-    finish_solution(idx, found)
-}
-
-/// Replay the winning deletion set into the (clean) index, read the side
-/// effects off its counters, and unwind.
-fn finish_solution(
-    idx: &mut WitnessIndex,
-    found: Option<(BTreeSet<Tid>, usize)>,
-) -> Result<Deletion> {
     let (deletions, _) = found.expect("a hitting set always exists (delete the whole support)");
-    for tid in &deletions {
-        idx.insert(tid);
-    }
-    debug_assert!(idx.deletes_target());
-    let view_side_effects = idx.side_effects();
-    for tid in &deletions {
-        idx.remove(tid);
-    }
-    Ok(Deletion {
-        deletions,
-        view_side_effects,
-    })
+    let slots: Vec<usize> = deletions
+        .iter()
+        .map(|tid| idx.slot_of(tid).expect("solutions lie in the support"))
+        .collect();
+    Ok(idx.deletion_of(slots.iter().copied()))
 }
 
 /// Decide whether a **side-effect-free** deletion exists (the paper's §2.1
@@ -143,47 +130,13 @@ impl DeletionContext {
         min_view_side_effects_on(&mut idx, opts)
     }
 
-    /// [`DeletionContext::min_view_side_effects`] for the serving loop:
-    /// solves on the target's **cached** [`WitnessIndex`] — kept warm and
-    /// patched in place across [`DeletionContext::apply_delete`] turns —
-    /// re-stamping from the touch skeleton only when the cache was
-    /// invalidated. Identical solutions to the uncached entry point
-    /// (pinned by `tests/prop_maintenance.rs`).
-    pub fn min_view_side_effects_turn(
-        &mut self,
-        target: &Tuple,
-        opts: &ExactOptions,
-    ) -> Result<Deletion> {
-        let mut idx = self.take_index(target)?;
-        // A budget abort leaves the index dirty: `?` drops it, and the
-        // next turn re-stamps from the skeleton.
-        let sol = min_view_side_effects_on(&mut idx, opts)?;
-        self.cache_index(target, idx);
-        Ok(sol)
-    }
-
-    /// Theorem 2.3 inside the serving loop: for SPU queries every witness
-    /// is a single source tuple, so the unique minimal deletion is the
-    /// target's whole support — read off the maintained context with no
-    /// search and no union-normal-form pass. The caller guarantees the
-    /// SPU class (the dichotomy dispatchers do); the free
-    /// [`spu_view_deletion`] remains the from-scratch entry point.
+    /// Theorem 2.3 over the maintained context, with no search and no
+    /// union-normal-form pass: the SPU arm of [`DeletionContext::solve`]
+    /// on a freshly stamped index. The caller guarantees the SPU class;
+    /// the free [`spu_view_deletion`] remains the from-scratch entry point.
     pub fn spu_view_deletion(&self, target: &Tuple) -> Result<Deletion> {
-        let (inst, mut idx) = self.instance_and_index(target)?;
-        debug_assert!(
-            inst.target_witnesses.iter().all(|w| w.len() == 1),
-            "SPU witnesses are singletons"
-        );
-        for slot in 0..idx.support().len() {
-            idx.insert_slot(slot);
-        }
-        debug_assert!(idx.deletes_target());
-        // Thm 2.3 guarantees emptiness; read the counters rather than
-        // assert it, so a mis-dispatched class still returns the truth.
-        Ok(Deletion {
-            deletions: idx.deleted_tids(),
-            view_side_effects: idx.side_effects(),
-        })
+        let (_, mut idx) = self.instance_and_index(target)?;
+        Ok(spu_on(&mut idx))
     }
 
     /// [`side_effect_free`] against this context's shared provenance.
@@ -415,6 +368,18 @@ fn pick_witness<S: SearchState>(state: &S, excluded: &[bool]) -> Option<(usize, 
     pick
 }
 
+/// Theorem 2.3 on an index: for SPU queries every witness is a single
+/// source tuple, so the unique minimal deletion is the target's whole
+/// support. Reads the side effects off the counters (so a mis-routed
+/// class still returns the truth) and leaves the index clean.
+pub(crate) fn spu_on(idx: &mut WitnessIndex) -> Deletion {
+    debug_assert!(
+        (0..idx.target_witness_count()).all(|i| idx.target_witness_members(i).len() == 1),
+        "SPU witnesses are singletons"
+    );
+    idx.deletion_of(0..idx.support().len())
+}
+
 /// Theorem 2.3: for SPU queries (select/project/union, no join, no rename)
 /// there is a **unique** minimal deletion and it is always side-effect-free:
 /// delete every source tuple that produces `t` through any branch.
@@ -475,29 +440,24 @@ pub fn sj_view_deletion(q: &Query, db: &Database, target: &Tuple) -> Result<Dele
         });
     }
     let inst = DeletionInstance::build(q, db, target)?;
-    let idx = WitnessIndex::build(&inst);
-    sj_from_index(&inst, idx)
-}
-
-/// [`sj_view_deletion`] against a shared [`DeletionContext`] (class check is
-/// the caller's job — used by the batched dichotomy dispatcher).
-pub(crate) fn sj_view_deletion_in(ctx: &DeletionContext, target: &Tuple) -> Result<Deletion> {
-    let (inst, idx) = ctx.instance_and_index(target)?;
-    sj_from_index(&inst, idx)
+    Ok(sj_on(&mut WitnessIndex::build(&inst)))
 }
 
 /// Thm 2.4's component scan on the index: every per-component side-effect
 /// count is an `O(occ)` counter probe, so the whole scan is one pass over
 /// the component occurrence lists instead of one hypergraph rescan each.
-fn sj_from_index(inst: &DeletionInstance, mut idx: WitnessIndex) -> Result<Deletion> {
+/// Optimal for both objectives (Thm 2.9: one component is a size-1
+/// deletion). Leaves the index clean.
+pub(crate) fn sj_on(idx: &mut WitnessIndex) -> Deletion {
     debug_assert_eq!(
-        inst.target_witnesses.len(),
+        idx.target_witness_count(),
         1,
         "SJ output tuples have exactly one witness"
     );
+    // Slots ascend in tid order, so keeping the first strict minimum
+    // reproduces the (count, tid) tie-break of the rescan implementation,
+    // and returns exactly what the exact search returns.
     let mut best: Option<(usize, usize)> = None; // (side effects, slot)
-                                                 // Slots ascend in tid order, so keeping the first strict minimum
-                                                 // reproduces the (count, tid) tie-break of the rescan implementation.
     for slot in 0..idx.support().len() {
         let count = idx.delta_if_deleted(slot);
         if best.is_none_or(|(c, _)| count < c) {
@@ -505,12 +465,7 @@ fn sj_from_index(inst: &DeletionInstance, mut idx: WitnessIndex) -> Result<Delet
         }
     }
     let (_, slot) = best.expect("witnesses are non-empty");
-    idx.insert_slot(slot);
-    debug_assert!(idx.deletes_target());
-    Ok(Deletion {
-        deletions: idx.deleted_tids(),
-        view_side_effects: idx.side_effects(),
-    })
+    idx.deletion_of([slot])
 }
 
 #[cfg(test)]

@@ -1,26 +1,22 @@
-//! The paper's dichotomy tables and the solver dispatcher.
+//! The paper's dichotomy tables and the one-shot dispatchers.
 //!
 //! Sections 2.1, 2.2 and 3.1 each close with a table classifying SPJU
 //! subclasses as poly-time or NP-hard. This module encodes those tables
-//! ([`complexity`], [`paper_table`]) and provides dispatchers that route a
-//! problem instance to the best applicable solver — the paper's algorithms
-//! for the tractable classes, exact search otherwise.
+//! ([`complexity`], [`paper_table`]). The deletion one-shots
+//! ([`delete_min_view_side_effects`], [`delete_min_source`]) build a
+//! [`DeletionContext`] and call [`DeletionContext::solve`], which routes by
+//! the same class boundary; placement dispatches here
+//! ([`place_annotation`], [`place_annotations`]).
 
-use crate::deletion::chain::chain_min_source_deletion;
-use crate::deletion::source_side_effect::{
-    min_source_deletion, sj_source_deletion, spu_source_deletion,
-};
-use crate::deletion::view_side_effect::{
-    min_view_side_effects, sj_view_deletion, sj_view_deletion_in, spu_view_deletion, ExactOptions,
-};
-use crate::deletion::{Deletion, DeletionContext};
+use crate::deletion::view_side_effect::ExactOptions;
+use crate::deletion::{Deletion, DeletionContext, Objective};
 use crate::error::Result;
 use crate::placement::generic::{min_side_effect_placement, PlacementIndex};
 use crate::placement::sju::sju_placement;
 use crate::placement::spu::spu_placement;
 use crate::placement::Placement;
 use dap_provenance::ViewLoc;
-use dap_relalg::{detect_chain_join, Database, OpFootprint, Query, Tuple};
+use dap_relalg::{Database, OpFootprint, Query, Tuple};
 use std::fmt;
 
 /// The two sides of the dichotomy.
@@ -109,7 +105,7 @@ pub fn paper_table(problem: Problem) -> Vec<TableRow> {
     }
 }
 
-/// Which solver the dispatcher chose (returned for reporting).
+/// Which solver a solve or dispatch ran (returned for reporting).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SolverKind {
     /// Theorem 2.3 / 2.8 / 3.3 linear scan (SPU).
@@ -124,10 +120,6 @@ pub enum SolverKind {
     Keyed,
     /// Exact search over the witness hypergraph (NP-hard classes).
     ExactSearch,
-    /// The unified 0/1-ILP solver ([`crate::ilp`]) — one encoding for
-    /// every variant, including the weighted and multi-target
-    /// generalizations no specialized solver expresses.
-    Ilp,
     /// Generic where-provenance placement.
     GenericPlacement,
 }
@@ -141,218 +133,31 @@ impl fmt::Display for SolverKind {
             SolverKind::ChainMinCut => write!(f, "chain-join min-cut (Thm 2.6)"),
             SolverKind::Keyed => write!(f, "keyed fast path (§2.1.1 FDs)"),
             SolverKind::ExactSearch => write!(f, "exact witness-hypergraph search"),
-            SolverKind::Ilp => write!(f, "unified 0/1-ILP (pseudo-Boolean branch-and-bound)"),
             SolverKind::GenericPlacement => write!(f, "generic where-provenance placement"),
         }
     }
 }
 
-/// Delete `target` with minimum view side effects, dispatching to the
-/// polynomial algorithm when the query class has one.
+/// Delete `target` with minimum view side effects: one
+/// [`DeletionContext::solve`], which takes the polynomial algorithm when
+/// the query class has one.
 pub fn delete_min_view_side_effects(
     q: &Query,
     db: &Database,
     target: &Tuple,
 ) -> Result<(Deletion, SolverKind)> {
-    let fp = OpFootprint::of(q);
-    if !fp.join && !fp.rename {
-        return Ok((spu_view_deletion(q, db, target)?, SolverKind::Spu));
-    }
-    if !fp.project && !fp.union_ {
-        return Ok((sj_view_deletion(q, db, target)?, SolverKind::Sj));
-    }
-    let sol = min_view_side_effects(q, db, target, &ExactOptions::default())?;
-    Ok((sol, SolverKind::ExactSearch))
+    DeletionContext::new(q, db)?.solve(target, Objective::View, &ExactOptions::default())
 }
 
-/// Delete `target` with minimum source deletions, dispatching to the
-/// polynomial algorithm when the query class has one (including the chain
-/// min-cut special case).
+/// Delete `target` with minimum source deletions: one
+/// [`DeletionContext::solve`], which takes the polynomial algorithm when
+/// the query class has one (including the chain min-cut special case).
 pub fn delete_min_source(
     q: &Query,
     db: &Database,
     target: &Tuple,
 ) -> Result<(Deletion, SolverKind)> {
-    let fp = OpFootprint::of(q);
-    if !fp.join && !fp.rename {
-        return Ok((spu_source_deletion(q, db, target)?, SolverKind::Spu));
-    }
-    if !fp.project && !fp.union_ {
-        return Ok((sj_source_deletion(q, db, target)?, SolverKind::Sj));
-    }
-    if detect_chain_join(q, &db.catalog()).is_some() {
-        return Ok((
-            chain_min_source_deletion(q, db, target)?,
-            SolverKind::ChainMinCut,
-        ));
-    }
-    Ok((min_source_deletion(q, db, target)?, SolverKind::ExactSearch))
-}
-
-/// Batched [`delete_min_view_side_effects`]: solve many view-deletion
-/// targets over the same `(Q, S)` with the provenance work shared. The
-/// classes that materialize provenance (SJ and the exact search) build one
-/// [`DeletionContext`] — a single annotated evaluation plus one hypergraph
-/// skeleton — and stamp each target's instance and index from it; SPU
-/// never materializes provenance and dispatches per target. Results come
-/// back in target order; the first failing target's error is returned.
-pub fn delete_min_view_side_effects_many(
-    q: &Query,
-    db: &Database,
-    targets: &[Tuple],
-) -> Result<Vec<(Deletion, SolverKind)>> {
-    let fp = OpFootprint::of(q);
-    if !fp.join && !fp.rename {
-        return targets
-            .iter()
-            .map(|t| Ok((spu_view_deletion(q, db, t)?, SolverKind::Spu)))
-            .collect();
-    }
-    let ctx = DeletionContext::new(q, db)?;
-    if !fp.project && !fp.union_ {
-        return targets
-            .iter()
-            .map(|t| Ok((sj_view_deletion_in(&ctx, t)?, SolverKind::Sj)))
-            .collect();
-    }
-    let opts = ExactOptions::default();
-    targets
-        .iter()
-        .map(|t| {
-            Ok((
-                ctx.min_view_side_effects(t, &opts)?,
-                SolverKind::ExactSearch,
-            ))
-        })
-        .collect()
-}
-
-/// Batched [`delete_min_source`]: one shared [`DeletionContext`] for the
-/// classes that materialize provenance (see
-/// [`delete_min_view_side_effects_many`]); SPU dispatches per target.
-pub fn delete_min_source_many(
-    q: &Query,
-    db: &Database,
-    targets: &[Tuple],
-) -> Result<Vec<(Deletion, SolverKind)>> {
-    let fp = OpFootprint::of(q);
-    if !fp.join && !fp.rename {
-        return targets
-            .iter()
-            .map(|t| Ok((spu_source_deletion(q, db, t)?, SolverKind::Spu)))
-            .collect();
-    }
-    // Every other arm shares one context — the chain min-cut reads the
-    // same materialized why-provenance the exact search does (and stays
-    // consistent with the single-target and serving-loop dispatches).
-    let ctx = DeletionContext::new(q, db)?;
-    if !fp.project && !fp.union_ {
-        // SJ: Thm 2.9 = Thm 2.4's component scan, shared through the context.
-        return targets
-            .iter()
-            .map(|t| Ok((sj_view_deletion_in(&ctx, t)?, SolverKind::Sj)))
-            .collect();
-    }
-    if detect_chain_join(q, &db.catalog()).is_some() {
-        return targets
-            .iter()
-            .map(|t| Ok((ctx.chain_min_source_deletion(t)?, SolverKind::ChainMinCut)))
-            .collect();
-    }
-    targets
-        .iter()
-        .map(|t| Ok((ctx.min_source_deletion(t)?, SolverKind::ExactSearch)))
-        .collect()
-}
-
-/// The **apply-and-re-solve serving loop** over one maintained
-/// [`DeletionContext`]: solve each target with minimum view side effects,
-/// **commit** its deletion (the context pushes it through the materialized
-/// plan and patches the why-provenance and touch skeleton in
-/// `O(affected)`), and solve the next target against the updated view.
-/// Targets that an earlier commit has already removed from the view come
-/// back as `None` — there is nothing left to delete for them.
-///
-/// Unlike [`delete_min_view_side_effects_many`] (which answers independent
-/// what-if questions over the *same* view), the loop's turns are data
-/// dependent: each solves against the view the previous commit left. SPU
-/// targets take the Thm 2.3 linear path
-/// ([`DeletionContext::spu_view_deletion`]) and SJ targets the Thm 2.4
-/// component scan — same solutions the exact search degenerates to, read
-/// straight off the maintained context. Everything else solves
-/// via [`DeletionContext::min_view_side_effects_turn`], which keeps each
-/// target's [`crate::deletion::WitnessIndex`] warm (patched in place)
-/// across turns. (The chain min-cut is a *source*-objective solver; for
-/// the view objective chain queries take the exact turn like any other PJ
-/// class.)
-pub fn delete_min_view_side_effects_apply_many(
-    q: &Query,
-    db: &Database,
-    targets: &[Tuple],
-) -> Result<Vec<Option<Deletion>>> {
-    let opts = ExactOptions::default();
-    serve_apply_loop(q, db, targets, |ctx, t| {
-        ctx.min_view_side_effects_turn(t, &opts)
-    })
-}
-
-/// The apply-and-re-solve loop for the **source** side-effect objective:
-/// like [`delete_min_view_side_effects_apply_many`], but targets outside
-/// the SPU/SJ fast paths solve with
-/// [`DeletionContext::min_source_deletion_turn`] (cached indexes again)
-/// before their deletion is committed — except chain joins, which take
-/// the **maintenance-aware** Thm 2.6 min-cut
-/// ([`DeletionContext::chain_min_source_turn`]): polynomial where the
-/// exact turn is NP-hard, and solved against the context's patched
-/// why-provenance, never the stale original database. The fast paths
-/// apply equally: SPU's unique deletion is simultaneously both optima
-/// (Thm 2.8), and SJ's Thm 2.9 component scan already returns the size-1
-/// minimum.
-pub fn delete_min_source_apply_many(
-    q: &Query,
-    db: &Database,
-    targets: &[Tuple],
-) -> Result<Vec<Option<Deletion>>> {
-    let chain = detect_chain_join(q, &db.catalog()).is_some();
-    serve_apply_loop(q, db, targets, move |ctx, t| {
-        if chain {
-            ctx.chain_min_source_turn(t)
-        } else {
-            ctx.min_source_deletion_turn(t)
-        }
-    })
-}
-
-/// The shared driver of both apply-and-re-solve loops: per-class routing
-/// (SPU linear / SJ component scan / `exact_turn` for the rest), one
-/// commit per live target, `None` for targets an earlier commit already
-/// removed. Keeping the routing here — one point of maintenance — is
-/// what keeps the two objectives' loops from drifting apart.
-fn serve_apply_loop(
-    q: &Query,
-    db: &Database,
-    targets: &[Tuple],
-    mut exact_turn: impl FnMut(&mut DeletionContext, &Tuple) -> Result<Deletion>,
-) -> Result<Vec<Option<Deletion>>> {
-    let fp = OpFootprint::of(q);
-    let mut ctx = DeletionContext::new(q, db)?;
-    let mut out = Vec::with_capacity(targets.len());
-    for t in targets {
-        if !ctx.contains(t) {
-            out.push(None);
-            continue;
-        }
-        let sol = if !fp.join && !fp.rename {
-            ctx.spu_view_deletion(t)?
-        } else if !fp.project && !fp.union_ {
-            sj_view_deletion_in(&ctx, t)?
-        } else {
-            exact_turn(&mut ctx, t)?
-        };
-        ctx.apply_delete(&sol.deletions);
-        out.push(Some(sol));
-    }
-    Ok(out)
+    DeletionContext::new(q, db)?.solve(target, Objective::Source, &ExactOptions::default())
 }
 
 /// Like [`delete_min_view_side_effects`], but additionally aware of
@@ -577,6 +382,36 @@ mod tests {
         assert_eq!(kind, SolverKind::ExactSearch);
         let (_, kind) = place_annotation(&q, &db, &ViewLoc::new(tuple(["a", "c"]), "A")).unwrap();
         assert_eq!(kind, SolverKind::GenericPlacement);
+
+        // JU, not a chain → ExactSearch for both objectives.
+        let q = parse_query("union(join(scan R, scan S), join(scan R, scan S))").unwrap();
+        let t = tuple(["a", "x", "c"]);
+        let (_, kind) = delete_min_source(&q, &db, &t).unwrap();
+        assert_eq!(kind, SolverKind::ExactSearch);
+        let (_, kind) = delete_min_view_side_effects(&q, &db, &t).unwrap();
+        assert_eq!(kind, SolverKind::ExactSearch);
+    }
+
+    /// The serving loop over one context: solve each live target, then
+    /// commit its deletion; `None` for targets an earlier commit removed.
+    fn solve_loop(
+        q: &Query,
+        db: &Database,
+        targets: &[Tuple],
+        objective: Objective,
+    ) -> Vec<Option<Deletion>> {
+        let mut ctx = DeletionContext::new(q, db).unwrap();
+        targets
+            .iter()
+            .map(|t| {
+                if !ctx.contains(t) {
+                    return None;
+                }
+                let (sol, _) = ctx.solve(t, objective, &ExactOptions::default()).unwrap();
+                ctx.apply_delete(&sol.deletions);
+                Some(sol)
+            })
+            .collect()
     }
 
     #[test]
@@ -623,7 +458,7 @@ mod tests {
         .unwrap();
         let q = parse_query("project(join(scan R, scan S), [A, C])").unwrap();
         let view = dap_relalg::eval(&q, &db).unwrap();
-        let sols = delete_min_view_side_effects_apply_many(&q, &db, &view.tuples).unwrap();
+        let sols = solve_loop(&q, &db, &view.tuples, Objective::View);
         assert_eq!(sols.len(), view.len());
         assert!(sols[0].is_some(), "first target always solvable");
         // Every committed deletion accumulates; at the end the view is
@@ -640,7 +475,7 @@ mod tests {
         // (a, c) side-effects a neighbor.
         assert!(sols.iter().any(Option::is_none));
         // The source-objective loop clears the view too.
-        let sols = delete_min_source_apply_many(&q, &db, &view.tuples).unwrap();
+        let sols = solve_loop(&q, &db, &view.tuples, Objective::Source);
         let all: std::collections::BTreeSet<_> = sols
             .iter()
             .flatten()
@@ -652,6 +487,7 @@ mod tests {
     #[test]
     fn source_apply_loop_serves_chain_targets_against_the_patched_view() {
         use crate::deletion::source_side_effect::min_source_deletion;
+        use dap_relalg::detect_chain_join;
         let db = parse_database(
             "relation R1(A, B) { (a, b1), (a, b2) }
              relation R2(B, C) { (b1, c1), (b2, c2) }
@@ -661,7 +497,7 @@ mod tests {
         let q = parse_query("project(join(join(scan R1, scan R2), scan R3), [A, D])").unwrap();
         assert!(detect_chain_join(&q, &db.catalog()).is_some());
         let view = dap_relalg::eval(&q, &db).unwrap();
-        let sols = delete_min_source_apply_many(&q, &db, &view.tuples).unwrap();
+        let sols = solve_loop(&q, &db, &view.tuples, Objective::Source);
         // Each turn's solution must be minimal and sound for the database
         // *as patched by the earlier commits* — exactly what the stale
         // free-function min-cut gets wrong.
@@ -690,14 +526,17 @@ mod tests {
                 .contains(t));
             acc.extend(sol.deletions.iter().cloned());
         }
-        // The batched what-if dispatcher stays on the (now context-backed)
-        // chain arm and agrees with the single-shot dispatch.
-        let batch = delete_min_source_many(&q, &db, &view.tuples).unwrap();
-        for (t, (sol, kind)) in view.tuples.iter().zip(&batch) {
-            assert_eq!(*kind, SolverKind::ChainMinCut);
+        // What-if solves on one context (no commits) stay on the chain arm
+        // and agree with the one-shot dispatch.
+        let mut ctx = DeletionContext::new(&q, &db).unwrap();
+        for t in &view.tuples {
+            let (sol, kind) = ctx
+                .solve(t, Objective::Source, &ExactOptions::default())
+                .unwrap();
+            assert_eq!(kind, SolverKind::ChainMinCut);
             let (single, single_kind) = delete_min_source(&q, &db, t).unwrap();
             assert_eq!(single_kind, SolverKind::ChainMinCut);
-            assert_eq!(sol.source_cost(), single.source_cost(), "target {t}");
+            assert_eq!(sol, single, "target {t}");
         }
     }
 

@@ -33,16 +33,24 @@
 //!
 //! Chain queries need no special casing: the chain min-cut instances are
 //! hitting-set instances whose constraint matrix happens to be an interval
-//! matrix, and the ILP solves them exactly like everything else. The
-//! specialized solvers stay on as **differential oracles** — the property
-//! tests in `tests/prop_ilp.rs` pin cost-identity on every dichotomy
-//! class, and the `report_ilp` bench binary races the two stacks and
+//! matrix, and the ILP solves them exactly like everything else.
+//!
+//! Single-target solves do not route here: [`DeletionContext::solve`] runs
+//! the dichotomy's own arms, which match or beat `dap_sat::pb` (a
+//! branch-and-bound without an LP relaxation) on every class. The ILP serves what no
+//! specialized arm expresses — weighted and multi-target requests, through
+//! [`DeletionContext::solve_ilp`] — and stays a **differential oracle** of
+//! the routed arms through the cached-index
+//! [`DeletionContext::min_view_side_effects_ilp_turn`] /
+//! [`DeletionContext::min_source_deletion_ilp_turn`]: the property tests
+//! in `tests/prop_ilp.rs` pin cost-identity on every dichotomy class, and
+//! the `report_ilp` bench binary races the two stacks on one context and
 //! asserts identical optima per row.
 
 use crate::deletion::index::WitnessIndex;
-use crate::deletion::{Deletion, DeletionContext};
+use crate::deletion::{Deletion, DeletionContext, Objective};
 use crate::error::{CoreError, Result};
-use dap_relalg::{Database, Query, Tid, Tuple};
+use dap_relalg::{Tid, Tuple};
 use dap_sat::pb::{self, PbConstraint, PbProblem};
 use std::collections::{BTreeSet, HashMap};
 
@@ -62,17 +70,6 @@ impl Default for IlpOptions {
     }
 }
 
-/// Which cost the ILP minimizes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum IlpObjective {
-    /// Lexicographic (weighted view side-effects, then weighted deletion
-    /// cost) — the paper's §2.1 problem, generalized.
-    ViewSideEffects,
-    /// Weighted source deletion cost — the paper's §2.2 problem,
-    /// generalized.
-    SourceDeletions,
-}
-
 /// One deletion-propagation problem for [`DeletionContext::solve_ilp`]:
 /// which view tuples must go, which cost to minimize, and optional
 /// per-source-tuple weights (unlisted tuples weigh 1).
@@ -80,8 +77,10 @@ pub enum IlpObjective {
 pub struct IlpRequest {
     /// View tuples that must all disappear (duplicates are ignored).
     pub targets: Vec<Tuple>,
-    /// The cost to minimize.
-    pub objective: IlpObjective,
+    /// The cost to minimize: lexicographic (weighted view side effects,
+    /// then weighted deletion cost) for [`Objective::View`], weighted
+    /// deletion cost for [`Objective::Source`].
+    pub objective: Objective,
     /// Per-tuple deletion weights; any tid not present weighs 1.
     pub weights: HashMap<Tid, u64>,
     /// Solver knobs.
@@ -93,7 +92,7 @@ impl IlpRequest {
     pub fn view(targets: impl IntoIterator<Item = Tuple>) -> IlpRequest {
         IlpRequest {
             targets: targets.into_iter().collect(),
-            objective: IlpObjective::ViewSideEffects,
+            objective: Objective::View,
             weights: HashMap::new(),
             options: IlpOptions::default(),
         }
@@ -103,7 +102,7 @@ impl IlpRequest {
     pub fn source(targets: impl IntoIterator<Item = Tuple>) -> IlpRequest {
         IlpRequest {
             targets: targets.into_iter().collect(),
-            objective: IlpObjective::SourceDeletions,
+            objective: Objective::Source,
             weights: HashMap::new(),
             options: IlpOptions::default(),
         }
@@ -189,13 +188,18 @@ impl IlpInstance {
             }
             frontier.push((t.clone(), lists));
         }
-        Ok(IlpInstance::weigh(support, target_witnesses, frontier, req))
+        Ok(IlpInstance::weigh(
+            support,
+            target_witnesses,
+            frontier,
+            &req.weights,
+        ))
     }
 
     /// Encode a single-target problem straight off a stamped
     /// [`WitnessIndex`] — the same hypergraph the specialized solvers
     /// search, read through the index's lazy transpose.
-    fn from_index(idx: &mut WitnessIndex, req: &IlpRequest) -> IlpInstance {
+    fn from_index(idx: &mut WitnessIndex, weights: &HashMap<Tid, u64>) -> IlpInstance {
         let support = idx.support().to_vec();
         let target_witnesses: Vec<Vec<usize>> = (0..idx.target_witness_count())
             .map(|i| idx.target_witness_members(i).to_vec())
@@ -212,18 +216,18 @@ impl IlpInstance {
             }
             frontier.push((idx.tuple_at(id).clone(), lists));
         }
-        IlpInstance::weigh(support, target_witnesses, frontier, req)
+        IlpInstance::weigh(support, target_witnesses, frontier, weights)
     }
 
     fn weigh(
         support: Vec<Tid>,
         target_witnesses: Vec<Vec<usize>>,
         frontier: Vec<(Tuple, Vec<Vec<usize>>)>,
-        req: &IlpRequest,
+        weights: &HashMap<Tid, u64>,
     ) -> IlpInstance {
         let slot_weights = support
             .iter()
-            .map(|tid| req.weights.get(tid).copied().unwrap_or(1))
+            .map(|tid| weights.get(tid).copied().unwrap_or(1))
             .collect();
         IlpInstance {
             support,
@@ -235,7 +239,7 @@ impl IlpInstance {
 
     /// Lower the instance to a [`PbProblem`], run [`pb::minimize`], and
     /// decode the assignment back into a [`Deletion`].
-    fn solve(&self, objective: IlpObjective, options: &IlpOptions) -> Result<Deletion> {
+    fn solve(&self, objective: Objective, options: &IlpOptions) -> Result<Deletion> {
         let n = self.support.len();
         let mut constraints: Vec<PbConstraint> = self
             .target_witnesses
@@ -243,7 +247,7 @@ impl IlpInstance {
             .map(|w| PbConstraint::at_least(w.iter().map(|&i| (i, 1)), 1))
             .collect();
         let mut obj: Vec<u64> = self.slot_weights.clone();
-        if objective == IlpObjective::ViewSideEffects {
+        if objective == Objective::View {
             // B must dominate any achievable deletion cost so the view
             // term is the primary key of the lexicographic objective.
             let big = self
@@ -300,7 +304,7 @@ impl IlpInstance {
             })
             .map(|(t, _)| t.clone())
             .collect();
-        if objective == IlpObjective::ViewSideEffects {
+        if objective == Objective::View {
             let big: u64 = self.slot_weights.iter().sum::<u64>() + 1;
             let weight: u64 = (0..n)
                 .filter(|&i| chosen[i])
@@ -328,84 +332,47 @@ impl DeletionContext {
         IlpInstance::from_context(self, req)?.solve(req.objective, &req.options)
     }
 
-    /// [`DeletionContext::min_view_side_effects`] through the unified ILP:
-    /// single target, unit weights, identical optimum.
-    pub fn min_view_side_effects_ilp(&self, target: &Tuple, opts: &IlpOptions) -> Result<Deletion> {
-        let (_, mut idx) = self.instance_and_index(target)?;
-        let req = IlpRequest::view([target.clone()]);
-        IlpInstance::from_index(&mut idx, &req).solve(IlpObjective::ViewSideEffects, opts)
+    /// The unified ILP for one target on its cached [`WitnessIndex`] (the
+    /// cache [`DeletionContext::solve`] keeps): unit weights, the same
+    /// optimum as the routed arm for `objective`.
+    fn ilp_turn(
+        &mut self,
+        target: &Tuple,
+        objective: Objective,
+        opts: &IlpOptions,
+    ) -> Result<Deletion> {
+        let mut idx = self.take_index(target)?;
+        let sol = IlpInstance::from_index(&mut idx, &HashMap::new()).solve(objective, opts);
+        self.cache_index(target, idx);
+        sol
     }
 
-    /// [`DeletionContext::min_source_deletion`] through the unified ILP:
-    /// single target, unit weights, identical optimum.
-    pub fn min_source_deletion_ilp(&self, target: &Tuple, opts: &IlpOptions) -> Result<Deletion> {
-        let (_, mut idx) = self.instance_and_index(target)?;
-        let req = IlpRequest::source([target.clone()]);
-        IlpInstance::from_index(&mut idx, &req).solve(IlpObjective::SourceDeletions, opts)
-    }
-
-    /// [`DeletionContext::min_view_side_effects_ilp`] for the serving
-    /// loop: reuses the per-target cached [`WitnessIndex`] (same cache as
-    /// the specialized `*_turn` solvers — the stacks share warm state).
+    /// The view objective through the unified ILP, on the target's cached
+    /// index: the same optimum as [`DeletionContext::solve`].
     pub fn min_view_side_effects_ilp_turn(
         &mut self,
         target: &Tuple,
         opts: &IlpOptions,
     ) -> Result<Deletion> {
-        let mut idx = self.take_index(target)?;
-        let req = IlpRequest::view([target.clone()]);
-        let sol =
-            IlpInstance::from_index(&mut idx, &req).solve(IlpObjective::ViewSideEffects, opts);
-        self.cache_index(target, idx);
-        sol
+        self.ilp_turn(target, Objective::View, opts)
     }
 
-    /// [`DeletionContext::min_source_deletion_ilp`] for the serving loop
-    /// (cached-index variant).
+    /// The source objective through the unified ILP, on the target's
+    /// cached index: the same optimum as [`DeletionContext::solve`].
     pub fn min_source_deletion_ilp_turn(
         &mut self,
         target: &Tuple,
         opts: &IlpOptions,
     ) -> Result<Deletion> {
-        let mut idx = self.take_index(target)?;
-        let req = IlpRequest::source([target.clone()]);
-        let sol =
-            IlpInstance::from_index(&mut idx, &req).solve(IlpObjective::SourceDeletions, opts);
-        self.cache_index(target, idx);
-        sol
+        self.ilp_turn(target, Objective::Source, opts)
     }
-}
-
-/// One-shot [`DeletionContext::solve_ilp`]: build the context, solve, drop.
-pub fn solve_ilp(q: &Query, db: &Database, req: &IlpRequest) -> Result<Deletion> {
-    DeletionContext::new(q, db)?.solve_ilp(req)
-}
-
-/// One-shot [`DeletionContext::min_view_side_effects_ilp`].
-pub fn min_view_side_effects_ilp(
-    q: &Query,
-    db: &Database,
-    target: &Tuple,
-    opts: &IlpOptions,
-) -> Result<Deletion> {
-    DeletionContext::new(q, db)?.min_view_side_effects_ilp(target, opts)
-}
-
-/// One-shot [`DeletionContext::min_source_deletion_ilp`].
-pub fn min_source_deletion_ilp(
-    q: &Query,
-    db: &Database,
-    target: &Tuple,
-    opts: &IlpOptions,
-) -> Result<Deletion> {
-    DeletionContext::new(q, db)?.min_source_deletion_ilp(target, opts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::deletion::view_side_effect::ExactOptions;
-    use dap_relalg::{parse_database, parse_query, tuple};
+    use dap_relalg::{parse_database, parse_query, tuple, Database, Query};
 
     fn fixture() -> (Query, Database) {
         let db = parse_database(
@@ -424,16 +391,16 @@ mod tests {
     #[test]
     fn ilp_matches_the_specialized_solvers_on_every_view_tuple() {
         let (q, db) = fixture();
-        let ctx = DeletionContext::new(&q, &db).unwrap();
+        let mut ctx = DeletionContext::new(&q, &db).unwrap();
         let opts = IlpOptions::default();
         for t in dap_relalg::eval(&q, &db).unwrap().tuples.clone() {
             let exact_view = ctx
                 .min_view_side_effects(&t, &ExactOptions::default())
                 .unwrap();
-            let ilp_view = ctx.min_view_side_effects_ilp(&t, &opts).unwrap();
+            let ilp_view = ctx.min_view_side_effects_ilp_turn(&t, &opts).unwrap();
             assert_eq!(ilp_view.view_cost(), exact_view.view_cost(), "{t}");
             let exact_src = ctx.min_source_deletion(&t).unwrap();
-            let ilp_src = ctx.min_source_deletion_ilp(&t, &opts).unwrap();
+            let ilp_src = ctx.min_source_deletion_ilp_turn(&t, &opts).unwrap();
             assert_eq!(ilp_src.source_cost(), exact_src.source_cost(), "{t}");
             // Solutions are sound, not just cost-identical.
             let inst = ctx.for_target(&t).unwrap();
@@ -500,11 +467,15 @@ mod tests {
         let mut ctx = DeletionContext::new(&q, &db).unwrap();
         let opts = IlpOptions::default();
         let t = tuple(["bob", "report"]);
-        let cold_view = ctx.min_view_side_effects_ilp(&t, &opts).unwrap();
+        // The first turn stamps the index, the second reuses it.
+        let cold_view = ctx.min_view_side_effects_ilp_turn(&t, &opts).unwrap();
+        assert_eq!(ctx.cached_index_count(), 1);
         let turn_view = ctx.min_view_side_effects_ilp_turn(&t, &opts).unwrap();
         assert_eq!(cold_view, turn_view);
-        assert_eq!(ctx.cached_index_count(), 1);
-        let cold_src = ctx.min_source_deletion_ilp(&t, &opts).unwrap();
+        let cold_src = DeletionContext::new(&q, &db)
+            .unwrap()
+            .min_source_deletion_ilp_turn(&t, &opts)
+            .unwrap();
         let turn_src = ctx.min_source_deletion_ilp_turn(&t, &opts).unwrap();
         assert_eq!(cold_src, turn_src);
         assert_eq!(ctx.cached_index_count(), 1, "same target, same slot");
@@ -529,7 +500,7 @@ mod tests {
             let req = IlpRequest::view([t.clone()]);
             let a = IlpInstance::from_context(&ctx, &req).unwrap();
             let (_, mut idx) = ctx.instance_and_index(&t).unwrap();
-            let mut b = IlpInstance::from_index(&mut idx, &req);
+            let mut b = IlpInstance::from_index(&mut idx, &req.weights);
             assert_eq!(a.support, b.support, "{t}");
             assert_eq!(a.slot_weights, b.slot_weights, "{t}");
             let norm = |w: &mut Vec<Vec<usize>>| {

@@ -12,8 +12,9 @@
 //!   approximation;
 //! * **Annotation placement** (§3, Thms 3.2–3.4): place a source annotation
 //!   reaching a given view location with minimum spread;
-//! * **The dichotomy** ([`dichotomy`]): the paper's three complexity tables
-//!   and a dispatcher routing each instance to the right algorithm;
+//! * **The dichotomy** ([`dichotomy`]): the paper's three complexity tables,
+//!   and [`DeletionContext::solve`], which routes every deletion solve to
+//!   the right algorithm by the query's class;
 //! * **The hardness reductions** ([`reductions`]): executable constructions
 //!   of Thms 2.1, 2.2, 2.5, 2.7 and 3.2 with encode/decode/verify
 //!   round-trips, and the paper's Figures 1–3 regenerated exactly
@@ -52,14 +53,12 @@ pub mod ilp;
 pub mod placement;
 pub mod reductions;
 
-pub use deletion::{Deletion, DeletionContext, DeletionInstance, WitnessIndex};
+pub use deletion::{Deletion, DeletionContext, DeletionInstance, Objective, WitnessIndex};
 pub use dichotomy::{
-    complexity, delete_min_source, delete_min_source_apply_many, delete_min_source_many,
-    delete_min_view_side_effects, delete_min_view_side_effects_apply_many,
-    delete_min_view_side_effects_many, format_paper_table, paper_table, place_annotation,
-    place_annotations, Complexity, Problem, SolverKind,
+    complexity, delete_min_source, delete_min_view_side_effects, format_paper_table, paper_table,
+    place_annotation, place_annotations, Complexity, Problem, SolverKind,
 };
 pub use error::{CoreError, Result};
-pub use ilp::{IlpObjective, IlpOptions, IlpRequest};
+pub use ilp::{IlpOptions, IlpRequest};
 pub use placement::generic::PlacementIndex;
 pub use placement::Placement;

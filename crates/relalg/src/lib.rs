@@ -100,7 +100,7 @@ pub use name::{Attr, RelName};
 pub use normalize::{is_normal_form, normalize, Branch, NormalForm, RenamedScan};
 pub use par::ParPool;
 pub use parser::{parse_database, parse_pred, parse_query};
-pub use plan::ViewDelta;
+pub use plan::{ViewDelta, BUILD_GRAIN};
 pub use predicate::{CmpOp, Operand, Pred};
 pub use query::Query;
 pub use registry::{PlanRegistry, QueryId, SubscriberId};

@@ -129,7 +129,9 @@ impl ViewDelta {
 
 /// Fewest rows per shard in the data-parallel build loops (below this the
 /// sharding overhead exceeds the row work for every shipped carrier).
-const BUILD_GRAIN: usize = 64;
+/// Every one-time build shards on this grain, the plan kernels here and
+/// `dap-core`'s deletion-context skeleton alike.
+pub const BUILD_GRAIN: usize = 64;
 
 /// Materialized output rows of one operator: stable slots, tombstoned on
 /// deletion. `tuples[s]` / `annots[s]` stay readable after death but are

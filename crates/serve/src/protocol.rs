@@ -64,23 +64,9 @@ pub enum Command {
     CrashTest,
 }
 
-/// The two ILP objectives a `solve` command can name.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SolveObjective {
-    /// Minimize view side effects (the paper's deletion propagation).
-    View,
-    /// Minimize source tuples deleted.
-    Source,
-}
-
-impl std::fmt::Display for SolveObjective {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SolveObjective::View => "view",
-            SolveObjective::Source => "source",
-        })
-    }
-}
+/// The two objectives a `solve` command can name, on the wire as `view`
+/// and `source`: the deletion objective [`dap_core::Objective`] itself.
+pub use dap_core::Objective as SolveObjective;
 
 /// One framed client request.
 #[derive(Clone, PartialEq, Eq, Debug)]

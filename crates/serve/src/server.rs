@@ -21,9 +21,12 @@
 //!   the engine rebuilds it with [`dap_durability::recover`] — the WAL
 //!   makes the rebuilt state exact, and surviving sessions'
 //!   subscriptions are re-attached. No panic ever escapes the process.
-//! * **Pathological solves degrade, not wedge.** Solver calls run under
-//!   the configured ILP node budget and answer `err budget ...` instead
-//!   of occupying the engine indefinitely.
+//! * **Pathological solves degrade, not wedge.** A `solve` is one
+//!   [`DeletionContext::solve`], routed by the query's dichotomy class:
+//!   the polynomial arms (SPU, SJ, the chain min cut) always answer, and
+//!   the exact searches of the NP-hard classes run under the configured
+//!   node budget and answer `err budget ...` instead of occupying the
+//!   engine indefinitely.
 //! * **Crash-safe by construction.** Startup is always
 //!   [`dap_durability::recover`]; graceful shutdown drains queued jobs,
 //!   syncs the WAL, and snapshots — but kill -9 at any point is a
@@ -33,7 +36,8 @@ use crate::protocol::{
     encode_wire_frame, Command, FrameReader, Request, Response, SolveObjective, EVENT_SEQ,
     MAX_FRAME,
 };
-use dap_core::{DeletionContext, IlpOptions};
+use dap_core::deletion::view_side_effect::ExactOptions;
+use dap_core::DeletionContext;
 use dap_durability::{recover_with, DurableOptions, DurableState};
 use dap_relalg::{Database, QueryId, SubscriberId};
 use std::collections::HashMap;
@@ -62,8 +66,10 @@ pub struct ServeOptions {
     /// this is evicted (slow-loris defense). Sessions idle *between*
     /// frames are fine.
     pub read_timeout: Duration,
-    /// ILP node budget for `solve` commands: a pathological instance
-    /// answers `err budget ...` instead of wedging the engine.
+    /// Node budget per `solve` for the exact searches of the NP-hard
+    /// classes (the view branch-and-bound and the source hitting-set
+    /// search): a pathological instance answers `err budget ...` instead
+    /// of wedging the engine. The polynomial arms ignore it.
     pub node_budget: u64,
     /// Durability knobs (fsync discipline, snapshot cadence).
     pub durable: DurableOptions,
@@ -86,7 +92,8 @@ impl ServeOptions {
     /// Defaults overridden from the environment: `DAP_SERVE_QUEUE`
     /// (admission queue depth), `DAP_SERVE_SESSIONS` (max concurrent
     /// sessions), `DAP_SERVE_READ_TIMEOUT_MS` (slow-loris eviction
-    /// deadline), `DAP_SERVE_NODE_BUDGET` (ILP node budget per solve),
+    /// deadline), `DAP_SERVE_NODE_BUDGET` (exact-search node budget per
+    /// solve),
     /// plus the durability knobs (`DAP_FSYNC`). Unset or unparsable
     /// variables keep the defaults.
     pub fn from_env() -> ServeOptions {
@@ -953,15 +960,11 @@ impl Engine {
         }
         let ctx = self.ctxs.get_mut(&id).expect("just inserted");
         ctx.sync_in(self.state.registry_mut());
-        let opts = IlpOptions {
+        let opts = ExactOptions {
             node_budget: self.opts.node_budget,
         };
-        let solved = match objective {
-            SolveObjective::View => ctx.min_view_side_effects_ilp_turn(target, &opts),
-            SolveObjective::Source => ctx.min_source_deletion_ilp_turn(target, &opts),
-        };
-        match solved {
-            Ok(deletion) => {
+        match ctx.solve(target, objective, &opts) {
+            Ok((deletion, _)) => {
                 let dels: Vec<String> = deletion.deletions.iter().map(|t| t.to_string()).collect();
                 Response::Ok {
                     seq,

@@ -12,11 +12,18 @@ use std::collections::BTreeSet;
 
 /// An optimal (minimum-cardinality) hitting set.
 pub fn exact_hitting_set(inst: &HittingSet) -> BTreeSet<usize> {
+    exact_hitting_set_bounded(inst, u64::MAX).expect("an unbounded search always finishes")
+}
+
+/// [`exact_hitting_set`] capped at `budget` search nodes: `None` once the
+/// branch-and-bound would visit more than `budget` nodes.
+pub fn exact_hitting_set_bounded(inst: &HittingSet, budget: u64) -> Option<BTreeSet<usize>> {
     // Greedy gives the initial upper bound.
     let mut best = greedy_hitting_set(inst);
     let mut current = BTreeSet::new();
-    branch(inst, &mut current, &mut best);
-    best
+    let mut nodes_left = budget;
+    branch(inst, &mut current, &mut best, &mut nodes_left)?;
+    Some(best)
 }
 
 /// Lower bound: a maximal collection of pairwise-disjoint un-hit sets —
@@ -33,7 +40,14 @@ fn disjoint_lower_bound(inst: &HittingSet, hit: &[bool]) -> usize {
     count
 }
 
-fn branch(inst: &HittingSet, current: &mut BTreeSet<usize>, best: &mut BTreeSet<usize>) {
+/// Explore the subtree below `current`; `None` once `nodes_left` runs out.
+fn branch(
+    inst: &HittingSet,
+    current: &mut BTreeSet<usize>,
+    best: &mut BTreeSet<usize>,
+    nodes_left: &mut u64,
+) -> Option<()> {
+    *nodes_left = nodes_left.checked_sub(1)?;
     let hit: Vec<bool> = inst.sets.iter().map(|s| !s.is_disjoint(current)).collect();
     // Find the smallest un-hit set to branch on (fail-first heuristic).
     let next = inst
@@ -47,17 +61,18 @@ fn branch(inst: &HittingSet, current: &mut BTreeSet<usize>, best: &mut BTreeSet<
         if current.len() < best.len() {
             *best = current.clone();
         }
-        return;
+        return Some(());
     };
     // Prune with the lower bound.
     if current.len() + disjoint_lower_bound(inst, &hit) >= best.len() {
-        return;
+        return Some(());
     }
     for &x in set {
         current.insert(x);
-        branch(inst, current, best);
+        branch(inst, current, best, nodes_left)?;
         current.remove(&x);
     }
+    Some(())
 }
 
 /// An optimal set cover, or `None` if infeasible. Solved via the hitting-set
@@ -150,6 +165,17 @@ mod tests {
 
         let h = hs(&[&[0, 5], &[1, 5], &[2, 5]]);
         assert_eq!(exact_hitting_set(&h).len(), 1);
+    }
+
+    #[test]
+    fn node_budget_bounds_the_search() {
+        // Greedy finds a 2-element cover and the disjoint bound is 1, so
+        // the root must branch: one node is not enough.
+        let triangle = hs(&[&[0, 1], &[1, 2], &[0, 2]]);
+        assert_eq!(exact_hitting_set_bounded(&triangle, 1), None);
+        let sol = exact_hitting_set_bounded(&triangle, u64::MAX).expect("unbounded");
+        assert!(triangle.is_hitting(&sol));
+        assert_eq!(sol.len(), brute_optimum(&triangle));
     }
 
     #[test]

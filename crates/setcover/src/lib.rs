@@ -26,7 +26,7 @@ pub mod gen;
 pub mod greedy;
 pub mod instance;
 
-pub use exact::{exact_hitting_set, exact_set_cover};
+pub use exact::{exact_hitting_set, exact_hitting_set_bounded, exact_set_cover};
 pub use gen::{planted_hitting_set, random_hitting_set};
 pub use greedy::{greedy_hitting_set, greedy_set_cover, harmonic};
 pub use instance::{HittingSet, SetCover};

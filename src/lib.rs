@@ -17,8 +17,8 @@
 //! * [`setcover`] — hitting set / set cover, greedy and exact;
 //! * [`flow`] — Dinic max-flow with node splitting (Theorem 2.6);
 //! * [`core`] — the paper's contribution: deletion propagation (view- and
-//!   source-side-effect minimization), annotation placement, the dichotomy
-//!   dispatcher, and the executable hardness reductions with the paper's
+//!   source-side-effect minimization) routed by the dichotomy, annotation
+//!   placement, and the executable hardness reductions with the paper's
 //!   Figures 1–3;
 //! * [`durability`] — the checksummed write-ahead commit log, snapshots
 //!   with a durable view catalog, and crash recovery for the served state;
@@ -66,14 +66,10 @@ pub mod prelude {
     pub use dap_core::deletion::keyed::{is_keyed, keyed_side_effect_free, keyed_view_deletion};
     pub use dap_core::deletion::view_side_effect::ExactOptions;
     pub use dap_core::dichotomy::delete_min_view_side_effects_with_fds;
-    pub use dap_core::dichotomy::{
-        delete_min_source_apply_many, delete_min_source_many,
-        delete_min_view_side_effects_apply_many, delete_min_view_side_effects_many,
-    };
     pub use dap_core::{
         complexity, delete_min_source, delete_min_view_side_effects, format_paper_table,
         paper_table, place_annotation, place_annotations, Complexity, CoreError, Deletion,
-        DeletionContext, DeletionInstance, IlpObjective, IlpOptions, IlpRequest, Placement,
+        DeletionContext, DeletionInstance, IlpOptions, IlpRequest, Objective, Placement,
         PlacementIndex, Problem, SolverKind, WitnessIndex,
     };
     pub use dap_durability::{

@@ -141,6 +141,48 @@ fn serving_turn_allocations_stay_under_budget() {
     );
 }
 
+/// Stamping a target's instance and index costs the same allocations
+/// however long the committed history is: the context shares its
+/// committed set with the instances it stamps instead of copying it into
+/// each (a copy allocates once per B-tree node, so it grows with every
+/// commit). The history here is tids of a relation the query does not
+/// scan: `committed` records them while the view, and so the target's
+/// neighborhood, stays the same.
+#[test]
+fn stamping_an_instance_does_not_copy_the_committed_history() {
+    const HISTORY: usize = 20_000;
+    let (q, db) = fixture();
+    let mut text = db.to_fixture_string();
+    text.push_str("relation Unscanned(X) {\n");
+    for i in 0..HISTORY {
+        let _ = writeln!(text, "  (x{i}),");
+    }
+    text.push_str("}\n");
+    let db = parse_database(&text).expect("fixture parses");
+    let mut ctx = DeletionContext::new(&q, &db).unwrap();
+    let target = ctx.why().iter().next().expect("non-empty view").0.clone();
+    let history: Vec<Tid> = (0..HISTORY).map(|row| Tid::new("Unscanned", row)).collect();
+    let stamp = |ctx: &DeletionContext| {
+        count_allocations(|| {
+            let _ = ctx.instance_and_index(&target).unwrap();
+        })
+    };
+
+    ctx.apply_delete(&history[..1_000].iter().cloned().collect());
+    let _ = stamp(&ctx); // warm-up: lazily initialised hasher state
+    let after_1k = stamp(&ctx);
+    ctx.apply_delete(&history[1_000..].iter().cloned().collect());
+    assert_eq!(ctx.committed().len(), HISTORY);
+    let after_20k = stamp(&ctx);
+
+    println!("allocation events per stamp: {after_1k} at 1k committed, {after_20k} at 20k");
+    assert_eq!(
+        after_1k, after_20k,
+        "stamping one instance allocated {after_1k} times at 1k committed tids and \
+         {after_20k} at 20k; the committed set is being copied per stamp"
+    );
+}
+
 /// Interning means constructing the same string value twice costs zero new
 /// allocations after the first — guarded here end to end through the
 /// public facade.

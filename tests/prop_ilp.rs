@@ -8,7 +8,6 @@ mod common;
 use common::{small_database, typed_query};
 use dap::core::deletion::source_side_effect::{min_source_deletion, spu_source_deletion};
 use dap::core::deletion::view_side_effect::min_view_side_effects;
-use dap::core::ilp::{min_source_deletion_ilp, min_view_side_effects_ilp, solve_ilp};
 use dap::prelude::*;
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
@@ -60,14 +59,15 @@ proptest! {
     #[test]
     fn ilp_matches_specialized_solvers((q, _) in typed_query(), db in small_database()) {
         let view = eval(&q, &db).expect("evaluates");
-        let opts = dap::core::ilp::IlpOptions::default();
+        let opts = IlpOptions::default();
+        let mut ctx = DeletionContext::new(&q, &db).expect("builds");
         for target in view.tuples.iter().take(3) {
             let exact_view = min_view_side_effects(&q, &db, target, &ExactOptions::default())
                 .expect("solves");
-            let ilp_view = min_view_side_effects_ilp(&q, &db, target, &opts).expect("solves");
+            let ilp_view = ctx.min_view_side_effects_ilp_turn(target, &opts).expect("solves");
             prop_assert_eq!(ilp_view.view_cost(), exact_view.view_cost(), "view obj, {}", target);
             let exact_src = min_source_deletion(&q, &db, target).expect("solves");
-            let ilp_src = min_source_deletion_ilp(&q, &db, target, &opts).expect("solves");
+            let ilp_src = ctx.min_source_deletion_ilp_turn(target, &opts).expect("solves");
             prop_assert_eq!(ilp_src.source_cost(), exact_src.source_cost(), "src obj, {}", target);
             let inst = DeletionInstance::build(&q, &db, target).expect("builds");
             prop_assert!(inst.verify_against_reevaluation(&ilp_view.deletions).expect("ok"));
@@ -90,10 +90,11 @@ proptest! {
         let fp = OpFootprint::of(&q);
         prop_assume!(!fp.join && !fp.rename);
         let view = eval(&q, &db).expect("evaluates");
-        let opts = dap::core::ilp::IlpOptions::default();
+        let opts = IlpOptions::default();
+        let mut ctx = DeletionContext::new(&q, &db).expect("builds");
         for target in view.tuples.iter().take(3) {
             let spu = spu_source_deletion(&q, &db, target).expect("SPU class");
-            let ilp = min_source_deletion_ilp(&q, &db, target, &opts).expect("solves");
+            let ilp = ctx.min_source_deletion_ilp_turn(target, &opts).expect("solves");
             prop_assert_eq!(&ilp.deletions, &spu.deletions, "target {}", target);
             prop_assert_eq!(&ilp.view_side_effects, &spu.view_side_effects);
         }
@@ -107,14 +108,14 @@ proptest! {
         let q = Query::scan("R").join(Query::scan("S")).project(["A", "C"]);
         let view = eval(&q, &db).expect("evaluates");
         let mut ctx = DeletionContext::new(&q, &db).expect("builds");
-        let opts = dap::core::ilp::IlpOptions::default();
+        let opts = IlpOptions::default();
         let mut committed = false;
         for target in view.tuples.iter().take(4) {
             if !ctx.contains(target) {
                 continue; // an earlier commit side-effected it away
             }
             let cut = ctx.chain_min_source_deletion(target).expect("chain");
-            let ilp = ctx.min_source_deletion_ilp(target, &opts).expect("solves");
+            let ilp = ctx.min_source_deletion_ilp_turn(target, &opts).expect("solves");
             let exact = ctx.min_source_deletion(target).expect("solves");
             prop_assert_eq!(cut.source_cost(), ilp.source_cost(), "target {}", target);
             prop_assert_eq!(ilp.source_cost(), exact.source_cost(), "target {}", target);
@@ -149,7 +150,7 @@ proptest! {
                 continue;
             };
             let req = IlpRequest::source(targets.clone()).weighted(weights.clone());
-            let sol = solve_ilp(&q, &db, &req).expect("solves");
+            let sol = ctx.solve_ilp(&req).expect("solves");
             let cost: u64 = sol
                 .deletions
                 .iter()
@@ -172,7 +173,10 @@ proptest! {
         let Some(brute) = brute_force_weighted_source(&q, &db, &targets, &weights) else {
             return Ok(());
         };
-        let sol = solve_ilp(&q, &db, &IlpRequest::source(targets.clone())).expect("solves");
+        let sol = DeletionContext::new(&q, &db)
+            .expect("builds")
+            .solve_ilp(&IlpRequest::source(targets.clone()))
+            .expect("solves");
         prop_assert_eq!(sol.source_cost() as u64, brute);
         let after = eval(&q, &db.without(&sol.deletions)).expect("ok");
         for t in &targets {
@@ -180,18 +184,25 @@ proptest! {
         }
     }
 
-    /// The cached-index `*_turn` entry points return exactly what the
-    /// uncached methods return.
+    /// The `*_ilp_turn` entry points return the same solution on a warm
+    /// context (the target's cached index) as on a fresh one (a newly
+    /// stamped index).
     #[test]
     fn ilp_turns_match_uncached((q, _) in typed_query(), db in small_database()) {
         let view = eval(&q, &db).expect("evaluates");
+        let targets: Vec<Tuple> = view.tuples.iter().take(2).cloned().collect();
         let mut ctx = DeletionContext::new(&q, &db).expect("builds");
-        let opts = dap::core::ilp::IlpOptions::default();
-        for target in view.tuples.iter().take(2) {
-            let cold = ctx.min_source_deletion_ilp(target, &opts).expect("solves");
+        let opts = IlpOptions::default();
+        for target in &targets {
+            ctx.min_source_deletion_ilp_turn(target, &opts).expect("solves");
+        }
+        prop_assert_eq!(ctx.cached_index_count(), targets.len());
+        for target in &targets {
+            let fresh = || DeletionContext::new(&q, &db).expect("builds");
+            let cold = fresh().min_source_deletion_ilp_turn(target, &opts).expect("solves");
             let turn = ctx.min_source_deletion_ilp_turn(target, &opts).expect("solves");
             prop_assert_eq!(&cold, &turn, "source turn, {}", target);
-            let cold_v = ctx.min_view_side_effects_ilp(target, &opts).expect("solves");
+            let cold_v = fresh().min_view_side_effects_ilp_turn(target, &opts).expect("solves");
             let turn_v = ctx.min_view_side_effects_ilp_turn(target, &opts).expect("solves");
             prop_assert_eq!(&cold_v, &turn_v, "view turn, {}", target);
         }

@@ -6,14 +6,13 @@
 //!   after **every** step, for all five annotation instances;
 //! * the `ViewDelta` each step reports must be exactly the difference
 //!   between consecutive views;
-//! * `DeletionContext::resolve_after_delete` (apply-and-re-solve on the
-//!   maintained state) must return exactly what a context rebuilt from
+//! * `DeletionContext::solve` after `apply_delete` (apply-and-re-solve on
+//!   the maintained state) must return exactly what a context rebuilt from
 //!   scratch on the deleted-from database returns;
-//! * the serving-loop `*_turn` solvers (cached, in-place-patched
-//!   [`WitnessIndex`]es) must match per-call re-stamping from the touch
-//!   skeleton across apply-delete turns, and the apply-loop per-class fast
-//!   paths (SPU linear / SJ component scan) must match the exact search
-//!   they shortcut.
+//! * `solve` on cached, in-place-patched [`WitnessIndex`]es must match the
+//!   uncached `&self` methods, which re-stamp from the touch skeleton,
+//!   across apply-delete turns, and the per-class arms (SPU whole support,
+//!   SJ component scan) must match the exact search they shortcut.
 //!
 //! The one wrinkle is *renumbering*: fresh evaluations of `S \ T` re-pack
 //! row indices, while the registry keeps the original [`Tid`]s.
@@ -33,6 +32,30 @@ use dap::provenance::{ExprAnn, LineageAnn, LocationsAnn, WitnessesAnn};
 use dap::relalg::Unit;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+
+/// The serving loop over one context: solve each live target, then commit
+/// its deletion; `None` for targets an earlier commit already removed.
+fn solve_loop(
+    q: &Query,
+    db: &Database,
+    targets: &[Tuple],
+    objective: Objective,
+) -> Vec<Option<Deletion>> {
+    let mut ctx = DeletionContext::new(q, db).expect("builds");
+    targets
+        .iter()
+        .map(|t| {
+            if !ctx.contains(t) {
+                return None;
+            }
+            let (sol, _) = ctx
+                .solve(t, objective, &ExactOptions::default())
+                .expect("solves");
+            ctx.apply_delete(&sol.deletions);
+            Some(sol)
+        })
+        .collect()
+}
 
 /// Drive one `(Q, S)` instance through a deletion sequence, comparing the
 /// maintained view against fresh evaluation after every batch.
@@ -115,7 +138,7 @@ proptest! {
     /// Apply-and-re-solve returns exactly what solving on a context rebuilt
     /// from scratch returns, for both objectives.
     #[test]
-    fn resolve_after_delete_equals_rebuild_from_scratch(
+    fn solve_after_apply_delete_equals_rebuild_from_scratch(
         (q, _) in typed_query(),
         db in small_database(),
         t1 in any::<prop::sample::Index>(),
@@ -127,49 +150,52 @@ proptest! {
         let second = view.tuples[t2.index(view.len())].clone();
         let opts = ExactOptions::default();
 
-        let mut ctx = DeletionContext::new(&q, &db).expect("builds");
-        let sol1 = ctx.min_view_side_effects(&first, &opts).expect("solves");
-        let resolved = ctx
-            .resolve_after_delete(&sol1.deletions, &second, &opts)
-            .expect("solves");
+        for objective in [Objective::View, Objective::Source] {
+            let mut ctx = DeletionContext::new(&q, &db).expect("builds");
+            // A what-if solve warms `second`'s index, so the re-solve runs
+            // on an index the commit patched in place or evicted.
+            ctx.solve(&second, objective, &opts).expect("solves");
+            let (sol1, _) = ctx.solve(&first, objective, &opts).expect("solves");
+            ctx.apply_delete(&sol1.deletions);
 
-        let db2 = db.without(&sol1.deletions);
-        let map = remap_table(&db, &sol1.deletions);
-        if !eval(&q, &db2).expect("evaluates").contains(&second) {
-            prop_assert!(resolved.is_none(), "target gone ⇒ nothing to re-solve");
-            return Ok(());
-        }
-        let rebuilt = DeletionContext::new(&q, &db2).expect("builds");
-        let fresh = rebuilt.min_view_side_effects(&second, &opts).expect("solves");
-        let resolved = resolved.expect("target still in view");
-        let translated: BTreeSet<Tid> =
-            resolved.deletions.iter().map(|tid| remap_tid(&map, tid)).collect();
-        prop_assert_eq!(translated, fresh.deletions, "deletion sets diverged");
-        prop_assert_eq!(resolved.view_side_effects, fresh.view_side_effects);
+            let db2 = db.without(&sol1.deletions);
+            let map = remap_table(&db, &sol1.deletions);
+            if !eval(&q, &db2).expect("evaluates").contains(&second) {
+                prop_assert!(!ctx.contains(&second), "target gone ⇒ nothing to re-solve");
+                continue;
+            }
+            let (resolved, kind) = ctx.solve(&second, objective, &opts).expect("solves");
+            let mut rebuilt = DeletionContext::new(&q, &db2).expect("builds");
+            let (fresh, fresh_kind) = rebuilt.solve(&second, objective, &opts).expect("solves");
+            prop_assert_eq!(kind, fresh_kind);
+            let translated: BTreeSet<Tid> =
+                resolved.deletions.iter().map(|tid| remap_tid(&map, tid)).collect();
+            prop_assert_eq!(&translated, &fresh.deletions, "{} deletion sets diverged", objective);
+            prop_assert_eq!(&resolved.view_side_effects, &fresh.view_side_effects);
 
-        // Same loop under the source-side objective.
-        let mut ctx = DeletionContext::new(&q, &db).expect("builds");
-        let sol1 = ctx.min_source_deletion(&first).expect("solves");
-        ctx.apply_delete(&sol1.deletions);
-        let db2 = db.without(&sol1.deletions);
-        let map = remap_table(&db, &sol1.deletions);
-        if !eval(&q, &db2).expect("evaluates").contains(&second) {
-            prop_assert!(!ctx.contains(&second));
-            return Ok(());
+            // The uncached methods agree on the patched state too.
+            let (patched, rebuilt_sol) = match objective {
+                Objective::View => (
+                    ctx.min_view_side_effects(&second, &opts).expect("solves"),
+                    rebuilt.min_view_side_effects(&second, &opts).expect("solves"),
+                ),
+                Objective::Source => (
+                    ctx.min_source_deletion(&second).expect("solves"),
+                    rebuilt.min_source_deletion(&second).expect("solves"),
+                ),
+            };
+            let translated: BTreeSet<Tid> =
+                patched.deletions.iter().map(|tid| remap_tid(&map, tid)).collect();
+            prop_assert_eq!(translated, rebuilt_sol.deletions, "{} exact sets diverged", objective);
+            prop_assert_eq!(patched.view_side_effects, rebuilt_sol.view_side_effects);
         }
-        let resolved = ctx.min_source_deletion(&second).expect("solves");
-        let rebuilt = DeletionContext::new(&q, &db2).expect("builds");
-        let fresh = rebuilt.min_source_deletion(&second).expect("solves");
-        let translated: BTreeSet<Tid> =
-            resolved.deletions.iter().map(|tid| remap_tid(&map, tid)).collect();
-        prop_assert_eq!(translated, fresh.deletions, "source deletion sets diverged");
-        prop_assert_eq!(resolved.view_side_effects, fresh.view_side_effects);
     }
 
-    /// The serving-loop dispatchers clear every requested target: after the
-    /// loop, re-evaluating under the union of all committed deletions
-    /// leaves none of the targets in the view, and each individual solution
-    /// verifies against re-evaluation at its point in the stream.
+    /// The solve-then-commit serving loop clears every requested target,
+    /// under both objectives: after the loop, re-evaluating under the union
+    /// of all committed deletions leaves none of the targets in the view,
+    /// and each individual solution verifies against re-evaluation at its
+    /// point in the stream.
     #[test]
     fn apply_many_clears_all_targets(
         (q, _) in typed_query(),
@@ -178,8 +204,8 @@ proptest! {
         let view = eval(&q, &db).expect("evaluates");
         prop_assume!(!view.is_empty());
         let targets: Vec<Tuple> = view.tuples.iter().take(3).cloned().collect();
-        let sols = delete_min_view_side_effects_apply_many(&q, &db, &targets)
-            .expect("solves");
+        for objective in [Objective::View, Objective::Source] {
+        let sols = solve_loop(&q, &db, &targets, objective);
         prop_assert_eq!(sols.len(), targets.len());
         let mut committed: BTreeSet<Tid> = BTreeSet::new();
         for (t, sol) in targets.iter().zip(&sols) {
@@ -207,16 +233,17 @@ proptest! {
         for t in &targets {
             prop_assert!(!final_view.contains(t), "{} survived the serving loop", t);
         }
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The serving-loop `*_turn` solvers (cached indexes, patched in place
-    /// across commits) return exactly what re-stamping from the touch
-    /// skeleton returns — at every turn, for repeat targets, under both
-    /// objectives.
+    /// `solve` (cached indexes, patched in place across commits) returns
+    /// exactly what the uncached `&self` method of the same arm returns,
+    /// which re-stamps from the touch skeleton — at every turn, for repeat
+    /// targets, under both objectives.
     #[test]
     fn cached_turn_solvers_match_restamping(
         (q, _) in typed_query(),
@@ -231,59 +258,64 @@ proptest! {
                 break;
             }
             for t in view.iter().take(3) {
-                // Cached turn solve vs per-call re-stamp (`&self` entry
-                // point), same context state.
-                let cached = ctx.min_view_side_effects_turn(t, &opts).expect("solves");
+                // Every arm answers the view objective as the exact search
+                // does (SPU's support is the unique minimal deletion, SJ's
+                // scan keeps the search's tie-break).
+                let (cached, _) = ctx.solve(t, Objective::View, &opts).expect("solves");
                 let fresh = ctx.min_view_side_effects(t, &opts).expect("solves");
                 prop_assert_eq!(&cached, &fresh, "view objective, target {}", t);
-                let cached = ctx.min_source_deletion_turn(t).expect("solves");
-                let fresh = ctx.min_source_deletion(t).expect("solves");
-                prop_assert_eq!(&cached, &fresh, "source objective, target {}", t);
+                let (cached, kind) = ctx.solve(t, Objective::Source, &opts).expect("solves");
+                let fresh = match kind {
+                    SolverKind::Spu => ctx.spu_view_deletion(t),
+                    // The SJ scan is the same for both objectives.
+                    SolverKind::Sj => ctx.min_view_side_effects(t, &opts),
+                    SolverKind::ChainMinCut => ctx.chain_min_source_deletion(t),
+                    _ => ctx.min_source_deletion(t),
+                }
+                .expect("solves");
+                prop_assert_eq!(&cached, &fresh, "source objective ({:?}), target {}", kind, t);
+                let exact = ctx.min_source_deletion(t).expect("solves");
+                prop_assert_eq!(cached.source_cost(), exact.source_cost(), "target {}", t);
             }
             prop_assert!(ctx.cached_index_count() > 0);
             // Commit a deletion; the cache is patched or evicted, never
             // left stale (the next iteration re-probes repeat targets).
             let target = &view[pick.index(view.len())];
-            let sol = ctx.min_view_side_effects_turn(target, &opts).expect("solves");
+            let (sol, _) = ctx.solve(target, Objective::View, &opts).expect("solves");
             ctx.apply_delete(&sol.deletions);
         }
     }
 
-    /// The apply-loop per-class fast paths (SPU linear scan, SJ component
-    /// scan) commit exactly what the exact search would have committed;
-    /// the source objective matches the exact hitting set's cost and its
-    /// committed deletions verify combinatorially at every turn.
+    /// The per-class arms (SPU whole support, SJ component scan) commit
+    /// exactly what the exact search would have committed; the source
+    /// objective matches the exact hitting set's cost and its committed
+    /// deletions verify combinatorially at every turn.
     #[test]
     fn apply_loop_fast_paths_match_exact_search((q, _) in typed_query(), db in small_database()) {
         let view = eval(&q, &db).expect("evaluates");
-        let targets = view.tuples.clone();
-        let sols = delete_min_view_side_effects_apply_many(&q, &db, &targets).expect("serves");
-        let mut ctx = DeletionContext::new(&q, &db).expect("builds");
         let opts = ExactOptions::default();
-        for (t, sol) in targets.iter().zip(&sols) {
-            if !ctx.contains(t) {
-                prop_assert!(sol.is_none(), "removed targets resolve to None");
-                continue;
+        for objective in [Objective::View, Objective::Source] {
+            let mut ctx = DeletionContext::new(&q, &db).expect("builds");
+            for t in &view.tuples {
+                if !ctx.contains(t) {
+                    continue; // removed by an earlier commit
+                }
+                let (sol, _) = ctx.solve(t, objective, &opts).expect("solves");
+                match objective {
+                    Objective::View => {
+                        let exact = ctx.min_view_side_effects(t, &opts).expect("solves");
+                        prop_assert_eq!(&sol, &exact, "target {}", t);
+                    }
+                    Objective::Source => {
+                        let exact = ctx.min_source_deletion(t).expect("solves");
+                        prop_assert_eq!(sol.source_cost(), exact.source_cost(), "target {}", t);
+                        let inst = ctx.for_target(t).expect("in view");
+                        prop_assert!(inst.deletes_target(&sol.deletions));
+                        prop_assert_eq!(&sol.view_side_effects, &inst.side_effects(&sol.deletions));
+                    }
+                }
+                ctx.apply_delete(&sol.deletions);
             }
-            let exact = ctx.min_view_side_effects(t, &opts).expect("solves");
-            let sol = sol.as_ref().expect("live targets resolve");
-            prop_assert_eq!(sol, &exact, "target {}", t);
-            ctx.apply_delete(&sol.deletions);
-        }
-        let sols = delete_min_source_apply_many(&q, &db, &targets).expect("serves");
-        let mut ctx = DeletionContext::new(&q, &db).expect("builds");
-        for (t, sol) in targets.iter().zip(&sols) {
-            if !ctx.contains(t) {
-                prop_assert!(sol.is_none());
-                continue;
-            }
-            let sol = sol.as_ref().expect("live targets resolve");
-            let exact = ctx.min_source_deletion(t).expect("solves");
-            prop_assert_eq!(sol.source_cost(), exact.source_cost(), "target {}", t);
-            let inst = ctx.for_target(t).expect("in view");
-            prop_assert!(inst.deletes_target(&sol.deletions));
-            prop_assert_eq!(&sol.view_side_effects, &inst.side_effects(&sol.deletions));
-            ctx.apply_delete(&sol.deletions);
         }
     }
 }

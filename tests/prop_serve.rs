@@ -58,6 +58,32 @@ fn small_fixture() -> Database {
     .unwrap()
 }
 
+/// `small_fixture` plus three relations whose union of pairwise joins,
+/// [`TRIANGLE`], derives (a, c) through three witnesses that pairwise
+/// share a tuple and have none in common: {R, S}, {S, T}, {R, T}.
+fn route_fixture() -> Database {
+    parse_database(
+        "relation UserGroup(user, grp) { (ann, staff), (bob, staff), (bob, dev) }
+         relation GroupFile(grp, file) { (staff, report), (dev, main), (dev, report) }
+         relation R(A, X) { (a, x) }
+         relation S(X, C) { (x, c) }
+         relation T(A, C) { (a, c) }",
+    )
+    .unwrap()
+}
+
+/// A JU query (NP-hard, not a chain) over [`route_fixture`]. Its minimum
+/// hitting set for (a, c) takes 2 of 3 tuples while the disjoint-witness
+/// lower bound is 1, so the exact search must branch below its root.
+const TRIANGLE: &str = "union(union(project(join(scan R, scan S), [A, C]), \
+     project(join(scan S, scan T), [A, C])), project(join(scan R, scan T), [A, C]))";
+
+fn register(c: &mut Client, q: &Query) -> QueryId {
+    let body = c.register(q).unwrap();
+    dap::serve::protocol::parse_query_id(expect_ok(&body).split(' ').next().unwrap())
+        .expect("query id")
+}
+
 fn fast_opts() -> ServeOptions {
     ServeOptions {
         read_timeout: Duration::from_millis(300),
@@ -506,7 +532,7 @@ fn engine_panic_heals_and_spares_other_sessions() {
 #[test]
 fn solve_budget_exhaustion_is_an_answer_not_a_hang() {
     let dir = scratch_dir("budget");
-    let db = small_fixture();
+    let db = route_fixture();
     let opts = ServeOptions {
         node_budget: 1, // everything non-trivial exhausts instantly
         ..fast_opts()
@@ -514,21 +540,98 @@ fn solve_budget_exhaustion_is_an_answer_not_a_hang() {
     let handle = Server::create_and_start(&dir, &db, 0, opts).unwrap();
 
     let mut c = Client::new(handle.addr(), client_opts("b"));
-    let q = parse_query("project(join(scan UserGroup, scan GroupFile), [user, file])").unwrap();
-    let body = c.register(&q).unwrap();
-    let id = dap::serve::protocol::parse_query_id(expect_ok(&body).split(' ').next().unwrap())
-        .expect("query id");
-    let resp = c
-        .solve(id, SolveObjective::View, tuple(["ann", "report"]))
-        .unwrap();
-    match resp {
+    let expect_budget = |resp: Response| match resp {
         Response::Err { msg, .. } => {
             assert!(msg.to_lowercase().contains("budget"), "{msg}")
         }
         other => panic!("expected a budget error, got {other:?}"),
+    };
+    // The view branch-and-bound of a PJ query.
+    let q = parse_query("project(join(scan UserGroup, scan GroupFile), [user, file])").unwrap();
+    let id = register(&mut c, &q);
+    expect_budget(
+        c.solve(id, SolveObjective::View, tuple(["ann", "report"]))
+            .unwrap(),
+    );
+    // The source hitting-set search of a non-chain JU query.
+    let id = register(&mut c, &parse_query(TRIANGLE).unwrap());
+    expect_budget(
+        c.solve(id, SolveObjective::Source, tuple(["a", "c"]))
+            .unwrap(),
+    );
+    // The polynomial arms ignore the budget: an SPU solve still answers.
+    let id = register(
+        &mut c,
+        &parse_query("project(scan UserGroup, [user])").unwrap(),
+    );
+    for objective in [SolveObjective::View, SolveObjective::Source] {
+        let resp = c.solve(id, objective, tuple(["bob"])).unwrap();
+        assert!(
+            expect_ok(&resp).starts_with("deletions=2 side-effects=0 ["),
+            "{resp:?}"
+        );
     }
     // The engine is immediately serviceable again.
     expect_ok(&c.ping().unwrap());
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `dap serve` solves through the same route as the library: for an SPU,
+/// an SJ, a chain and a non-chain query, under both objectives, the
+/// reply's counts equal `DeletionContext::new(..).solve(..)` on the same
+/// committed state.
+#[test]
+fn serve_solves_match_the_library_route() {
+    let dir = scratch_dir("route");
+    let db = route_fixture();
+    let handle = Server::create_and_start(&dir, &db, 0, fast_opts()).unwrap();
+    let mut c = Client::new(handle.addr(), client_opts("r"));
+    // Solve on a patched state: (staff, report) is committed first.
+    let committed = db.tid_of("GroupFile", &tuple(["staff", "report"])).unwrap();
+    expect_ok(&c.delete_source(std::slice::from_ref(&committed)).unwrap());
+    let cases = [
+        (
+            "project(scan UserGroup, [user])",
+            tuple(["bob"]),
+            SolverKind::Spu,
+        ),
+        (
+            "join(scan UserGroup, scan GroupFile)",
+            tuple(["bob", "dev", "report"]),
+            SolverKind::Sj,
+        ),
+        (
+            "project(join(scan UserGroup, scan GroupFile), [user, file])",
+            tuple(["bob", "report"]),
+            SolverKind::ChainMinCut,
+        ),
+        (TRIANGLE, tuple(["a", "c"]), SolverKind::ExactSearch),
+    ];
+    for (text, target, source_kind) in cases {
+        let q = parse_query(text).unwrap();
+        let id = register(&mut c, &q);
+        for objective in [SolveObjective::View, SolveObjective::Source] {
+            let mut ctx = DeletionContext::new(&q, &db).unwrap();
+            ctx.apply_delete(&std::collections::BTreeSet::from([committed.clone()]));
+            let (sol, kind) = ctx
+                .solve(&target, objective, &ExactOptions::default())
+                .unwrap();
+            if objective == SolveObjective::Source {
+                assert_eq!(kind, source_kind, "{text}");
+            }
+            let resp = c.solve(id, objective, target.clone()).unwrap();
+            let expected = format!(
+                "deletions={} side-effects={} [",
+                sol.deletions.len(),
+                sol.view_side_effects.len()
+            );
+            assert!(
+                expect_ok(&resp).starts_with(&expected),
+                "{text} {objective}: server {resp:?}, library {expected}"
+            );
+        }
+    }
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -180,23 +180,26 @@ proptest! {
         }
     }
 
-    /// Batched dispatchers equal single-target dispatch on every target.
+    /// One context solving many targets (what-if solves, no commits)
+    /// returns, solution and arm alike, what a one-shot dispatch returns
+    /// for each target.
     #[test]
     fn batched_dispatch_matches_single((q, _) in typed_query(), db in small_database()) {
         let view = eval(&q, &db).expect("evaluates");
         let targets: Vec<Tuple> = view.tuples.iter().take(4).cloned().collect();
-        let via_batch = delete_min_view_side_effects_many(&q, &db, &targets).expect("solves");
-        prop_assert_eq!(via_batch.len(), targets.len());
-        for (t, (sol, kind)) in targets.iter().zip(&via_batch) {
-            let (single, single_kind) = delete_min_view_side_effects(&q, &db, t).expect("solves");
-            prop_assert_eq!(kind, &single_kind, "target {}", t);
-            prop_assert_eq!(sol, &single, "target {}", t);
-        }
-        let via_batch = delete_min_source_many(&q, &db, &targets).expect("solves");
-        for (t, (sol, kind)) in targets.iter().zip(&via_batch) {
-            let (single, single_kind) = delete_min_source(&q, &db, t).expect("solves");
-            prop_assert_eq!(kind, &single_kind, "target {}", t);
-            prop_assert_eq!(sol.source_cost(), single.source_cost(), "target {}", t);
+        let mut ctx = DeletionContext::new(&q, &db).expect("builds");
+        let opts = ExactOptions::default();
+        for objective in [Objective::View, Objective::Source] {
+            for t in &targets {
+                let (sol, kind) = ctx.solve(t, objective, &opts).expect("solves");
+                let (single, single_kind) = match objective {
+                    Objective::View => delete_min_view_side_effects(&q, &db, t),
+                    Objective::Source => delete_min_source(&q, &db, t),
+                }
+                .expect("solves");
+                prop_assert_eq!(kind, single_kind, "{} target {}", objective, t);
+                prop_assert_eq!(&sol, &single, "{} target {}", objective, t);
+            }
         }
     }
 }
