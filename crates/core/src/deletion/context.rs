@@ -61,7 +61,7 @@ use crate::error::{CoreError, Result};
 use dap_provenance::{WhyProvenance, Witness, WitnessesAnn};
 use dap_relalg::{
     detect_chain_join, ChainJoin, Database, OpFootprint, ParPool, PlanRegistry, Query, QueryId,
-    Schema, Tid, Tuple, ViewDelta, BUILD_GRAIN,
+    Schema, SubscriberId, Tid, Tuple, ViewDelta, BUILD_GRAIN,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -130,6 +130,9 @@ pub struct DeletionContext {
     /// The context's query in the registry whose `delete_sources` keeps
     /// the annotated view (and hence everything below) current.
     id: QueryId,
+    /// The context's subscription on `id`, drained by
+    /// [`DeletionContext::sync_in`]; it closes when `id` is unregistered.
+    sub: SubscriberId,
     /// The private one-query registry [`DeletionContext::new`] builds;
     /// `None` when the view lives in a caller's shared registry
     /// ([`DeletionContext::new_in_registry`]).
@@ -204,7 +207,9 @@ impl DeletionContext {
         query: Arc<Query>,
     ) -> Result<DeletionContext> {
         let id = reg.register(&query)?;
-        reg.subscribe(id);
+        let sub = reg
+            .subscribe_session(id)
+            .expect("a just-registered query accepts subscriptions");
         let route = Route::of(&query, reg.db());
         let sk = DeletionContext::build_skeleton(
             reg.query_schema(id).clone(),
@@ -215,6 +220,7 @@ impl DeletionContext {
             query,
             db: reg.db().clone(),
             id,
+            sub,
             own: None,
             why: sk.why,
             tuples: sk.tuples,
@@ -376,8 +382,8 @@ impl DeletionContext {
                 own = d;
             }
         }
-        // A no-op batch may not reach the outbox, but the registry still
-        // records it for future registrations — mirror that here.
+        // A no-op batch may not reach the subscription, but the registry
+        // still records it for future registrations — mirror that here.
         Arc::make_mut(&mut self.committed).extend(tids.iter().cloned());
         self.sync_in(reg);
         own
@@ -397,7 +403,7 @@ impl DeletionContext {
         let id = self
             .registry_query()
             .expect("sync_in on a context that owns its registry; nothing to drain");
-        for (tids, delta) in reg.drain_pending(id) {
+        for (tids, delta) in reg.drain_session(self.sub) {
             let tid_set: BTreeSet<Tid> = tids.into_iter().collect();
             // Bases are read at their *final* value: a tuple re-based by
             // this entry but removed by a later pending one reads `None`

@@ -86,25 +86,6 @@ impl DeletionInstance {
         })
     }
 
-    /// The target's witnesses translated to member *slots* into the sorted
-    /// [`DeletionInstance::support`] (slot `i` ↔ `support[i]`) — the
-    /// representation the hitting-set translation, the search states, and
-    /// [`crate::deletion::WitnessIndex`] share.
-    pub fn witness_member_slots(&self) -> Vec<Vec<usize>> {
-        self.target_witnesses
-            .iter()
-            .map(|w| {
-                w.iter()
-                    .map(|tid| {
-                        self.support
-                            .binary_search(tid)
-                            .expect("witness tids are in the support")
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Whether deleting `deleted` removes the target from the view
     /// (hits every target witness).
     pub fn deletes_target(&self, deleted: &BTreeSet<Tid>) -> bool {

@@ -16,22 +16,30 @@
 //!   never multiply), and
 //! * the component-scan algorithm applies unchanged.
 
-use crate::deletion::view_side_effect::ExactOptions;
-use crate::deletion::{Deletion, DeletionInstance};
+use crate::deletion::source_side_effect::min_source_deletion_on;
+use crate::deletion::view_side_effect::{min_view_side_effects_on, ExactOptions};
+use crate::deletion::{Deletion, DeletionContext, DeletionInstance, WitnessIndex};
 use crate::error::{CoreError, Result};
 use dap_relalg::{normalize, projection_determines_join, Database, FdCatalog, Query, Tuple};
 
 /// Whether the declared FDs make `q` witness-unique per branch (the keyed
 /// poly-time condition). Also validates that the FDs hold on `db`.
 pub fn is_keyed(q: &Query, db: &Database, fds: &FdCatalog) -> Result<bool> {
+    Ok(keyed_branches(q, db, fds)?.is_some())
+}
+
+/// The number of normal-form branches if `q` is keyed under `fds` (each
+/// output tuple then has at most that many witnesses), `None` otherwise.
+fn keyed_branches(q: &Query, db: &Database, fds: &FdCatalog) -> Result<Option<usize>> {
     if fds.validate(db).is_err() {
-        return Ok(false);
+        return Ok(None);
     }
     let nf = normalize(q, &db.catalog())?;
-    Ok(nf
+    let keyed = nf
         .branches
         .iter()
-        .all(|b| projection_determines_join(b, fds)))
+        .all(|b| projection_determines_join(b, fds));
+    Ok(keyed.then_some(nf.branches.len()))
 }
 
 /// Polynomial minimum-view-side-effect deletion for keyed queries.
@@ -43,17 +51,15 @@ pub fn keyed_view_deletion(
     fds: &FdCatalog,
     target: &Tuple,
 ) -> Result<Deletion> {
-    let inst = keyed_instance(q, db, fds, target)?;
+    let (inst, mut idx) = keyed_instance(q, db, fds, target)?;
     // With one witness per (tuple, branch) the exact search is polynomial:
     // the branching factor is the witness size and no subset explosion can
     // occur. Run it with a budget that certifies polynomial behaviour.
     let witnesses = inst.target_witnesses.len();
     let support = inst.support.len();
     let budget = (witnesses.max(1) * support.max(1) * 8 + 64) as u64;
-    let sol = crate::deletion::view_side_effect::min_view_side_effects(
-        q,
-        db,
-        target,
+    let sol = min_view_side_effects_on(
+        &mut idx,
         &ExactOptions {
             node_budget: budget,
         },
@@ -75,11 +81,10 @@ pub fn keyed_source_deletion(
     fds: &FdCatalog,
     target: &Tuple,
 ) -> Result<Deletion> {
-    let inst = keyed_instance(q, db, fds, target)?;
+    let (_, mut idx) = keyed_instance(q, db, fds, target)?;
     // The witness count is at most the number of branches — tiny — so the
     // exact hitting-set solver runs in polynomial time here.
-    let _ = &inst;
-    crate::deletion::source_side_effect::min_source_deletion(q, db, target)
+    min_source_deletion_on(&mut idx, &ExactOptions::default())
 }
 
 /// Decide side-effect-freeness for keyed queries in polynomial time
@@ -94,26 +99,27 @@ pub fn keyed_side_effect_free(
     Ok(sol.is_side_effect_free().then_some(sol))
 }
 
+/// Check the keyed condition once and stamp the target's instance and
+/// index from one [`DeletionContext`] (one evaluation of the query).
 fn keyed_instance(
     q: &Query,
     db: &Database,
     fds: &FdCatalog,
     target: &Tuple,
-) -> Result<DeletionInstance> {
-    if !is_keyed(q, db, fds)? {
+) -> Result<(DeletionInstance, WitnessIndex)> {
+    let Some(branches) = keyed_branches(q, db, fds)? else {
         return Err(CoreError::WrongClass {
             expected: "keyed PJ (projection determines the join under the FDs)",
             found: format!("{}", dap_relalg::OpFootprint::of(q)),
         });
-    }
-    let inst = DeletionInstance::build(q, db, target)?;
+    };
+    let (inst, idx) = DeletionContext::new(q, db)?.instance_and_index(target)?;
     // The FD condition caps witnesses at one per branch.
-    let branches = normalize(q, &db.catalog())?.branches.len();
     debug_assert!(
         inst.target_witnesses.len() <= branches,
         "keyed queries have at most one witness per branch"
     );
-    Ok(inst)
+    Ok((inst, idx))
 }
 
 #[cfg(test)]

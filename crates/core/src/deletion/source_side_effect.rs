@@ -27,9 +27,7 @@ use std::collections::BTreeSet;
 
 /// Translate the target's witness hypergraph into a `dap-setcover` hitting
 /// set instance, straight off the index: element `i` is support slot `i`,
-/// and the index's target witness members are already the binary-search
-/// translation [`crate::deletion::DeletionInstance::witness_member_slots`]
-/// computes (same witness order, same slot space).
+/// and set `j` is target witness `j`'s member slots.
 fn to_hitting_set(idx: &WitnessIndex) -> HittingSet {
     let sets: Vec<BTreeSet<usize>> = (0..idx.target_witness_count())
         .map(|i| idx.target_witness_members(i).iter().copied().collect())

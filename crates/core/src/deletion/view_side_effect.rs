@@ -23,11 +23,11 @@
 //! `&self` methods ([`DeletionContext::min_view_side_effects`],
 //! [`DeletionContext::spu_view_deletion`]), which stamp a fresh index.
 //!
-//! `min_view_side_effects_naive` (cargo feature `legacy-oracles`) runs
-//! the identical search with the original per-node
-//! [`DeletionInstance::side_effect_count`] rescans — the oracle of the
-//! differential property tests. Both drive the same skeleton, so they
-//! explore the same tree and return **identical** solutions.
+//! The differential property tests pin the search against a rescan
+//! oracle (`tests/support/naive_search.rs`) that re-implements the same
+//! traversal over per-node [`DeletionInstance::side_effect_count`]
+//! rescans: same witness choice, same branch order, same exclusions and
+//! bound, hence **identical** solutions.
 
 use crate::deletion::index::WitnessIndex;
 use crate::deletion::{Deletion, DeletionContext, DeletionInstance};
@@ -35,13 +35,15 @@ use crate::error::{CoreError, Result};
 use dap_relalg::{normalize, output_schema, Database, OpFootprint, Query, Tid, Tuple};
 use std::collections::BTreeSet;
 
-/// Knobs for the exact exponential searches.
+/// Knobs for the exact exponential searches (also the ILP's, as
+/// [`crate::IlpOptions`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ExactOptions {
     /// Abort with [`CoreError::BudgetExhausted`] after this many search
     /// nodes. The NP-hard instances grow exponentially; the bound applies
     /// to both exact arms [`DeletionContext::solve`] can reach (the view
-    /// branch-and-bound and the source hitting-set search).
+    /// branch-and-bound and the source hitting-set search) and to the
+    /// ILP's branch-and-bound. Defaults to unlimited.
     pub node_budget: u64,
 }
 
@@ -69,30 +71,6 @@ pub fn min_view_side_effects(
     DeletionContext::new(q, db)?.min_view_side_effects(target, opts)
 }
 
-/// The rescan baseline: the **same** branch-and-bound skeleton as
-/// [`min_view_side_effects`], but every node recomputes the side-effect
-/// count (and every branch-ordering delta probe) with a full
-/// [`DeletionInstance::side_effect_count`] hypergraph rescan. Kept as the
-/// differential-test oracle (cargo feature `legacy-oracles`, like every
-/// other oracle path); identical traversal ⇒ identical solutions.
-#[cfg(feature = "legacy-oracles")]
-pub fn min_view_side_effects_naive(
-    q: &Query,
-    db: &Database,
-    target: &Tuple,
-    opts: &ExactOptions,
-) -> Result<Deletion> {
-    let inst = DeletionInstance::build(q, db, target)?;
-    let mut state = NaiveState::new(&inst);
-    let found = run_search(&mut state, usize::MAX, opts)?;
-    let (deletions, _) = found.expect("a hitting set always exists (delete the whole support)");
-    let view_side_effects = inst.side_effects(&deletions);
-    Ok(Deletion {
-        deletions,
-        view_side_effects,
-    })
-}
-
 /// [`min_view_side_effects`] on a prebuilt index: runs the incremental
 /// branch-and-bound on `idx` (which must be freshly built for its target —
 /// no tuples inserted) and leaves it in that clean state on success, so
@@ -101,7 +79,7 @@ pub fn min_view_side_effects_naive(
 /// deletion set of the interrupted node and should be discarded.
 pub fn min_view_side_effects_on(idx: &mut WitnessIndex, opts: &ExactOptions) -> Result<Deletion> {
     debug_assert_eq!(idx.deleted_len(), 0, "index must start empty");
-    let found = run_search(&mut IndexedState(idx), usize::MAX, opts)?;
+    let found = run_search(idx, usize::MAX, opts)?;
     let (deletions, _) = found.expect("a hitting set always exists (delete the whole support)");
     let slots: Vec<usize> = deletions
         .iter()
@@ -147,128 +125,11 @@ impl DeletionContext {
     ) -> Result<Option<Deletion>> {
         let (_, mut idx) = self.instance_and_index(target)?;
         // Cap 1: only solutions with < 1 side effects qualify.
-        let found = run_search(&mut IndexedState(&mut idx), 1, opts)?;
+        let found = run_search(&mut idx, 1, opts)?;
         Ok(found.map(|(deletions, _)| Deletion {
             deletions,
             view_side_effects: BTreeSet::new(),
         }))
-    }
-}
-
-/// What the branch-and-bound needs from its state. Two implementations
-/// drive the **same** [`run_search`] skeleton — [`IndexedState`] answers
-/// from [`WitnessIndex`] counters in `O(occ)`, [`NaiveState`] rescans the
-/// hypergraph per question — so both explore the same tree and return
-/// identical solutions; only the per-node cost differs.
-trait SearchState {
-    /// Side effects of the current deletion set.
-    fn side_effect_count(&self) -> usize;
-    /// Side-effect increase if `slot` were deleted (branch-ordering key).
-    fn delta_if_deleted(&mut self, slot: usize) -> usize;
-    /// Add support slot `slot` to the deletion set (descend).
-    fn insert(&mut self, slot: usize);
-    /// Remove support slot `slot` from the deletion set (backtrack).
-    fn remove(&mut self, slot: usize);
-    /// Size of the support (slot space).
-    fn support_len(&self) -> usize;
-    /// Number of target witnesses.
-    fn target_witness_count(&self) -> usize;
-    /// Whether target witness `i` is hit by the current deletion set.
-    fn target_witness_hit(&self, i: usize) -> bool;
-    /// Member slots of target witness `i`.
-    fn target_witness_members(&self, i: usize) -> &[usize];
-    /// The current deletion set, as tuple ids.
-    fn deleted_tids(&self) -> BTreeSet<Tid>;
-}
-
-/// Incremental search state: all answers from the index counters.
-struct IndexedState<'a>(&'a mut WitnessIndex);
-
-impl SearchState for IndexedState<'_> {
-    fn side_effect_count(&self) -> usize {
-        self.0.side_effect_count()
-    }
-    fn delta_if_deleted(&mut self, slot: usize) -> usize {
-        self.0.delta_if_deleted(slot)
-    }
-    fn insert(&mut self, slot: usize) {
-        self.0.insert_slot(slot);
-    }
-    fn remove(&mut self, slot: usize) {
-        self.0.remove_slot(slot);
-    }
-    fn support_len(&self) -> usize {
-        self.0.support().len()
-    }
-    fn target_witness_count(&self) -> usize {
-        self.0.target_witness_count()
-    }
-    fn target_witness_hit(&self, i: usize) -> bool {
-        self.0.target_witness_hit(i)
-    }
-    fn target_witness_members(&self, i: usize) -> &[usize] {
-        self.0.target_witness_members(i)
-    }
-    fn deleted_tids(&self) -> BTreeSet<Tid> {
-        self.0.deleted_tids()
-    }
-}
-
-/// Naive search state: the original per-node cost model — every
-/// side-effect question is a full `why.iter()` rescan.
-#[cfg(feature = "legacy-oracles")]
-struct NaiveState<'a> {
-    inst: &'a DeletionInstance,
-    /// Target witnesses as member slots into the sorted support.
-    members: Vec<Vec<usize>>,
-    current: BTreeSet<Tid>,
-}
-
-#[cfg(feature = "legacy-oracles")]
-impl<'a> NaiveState<'a> {
-    fn new(inst: &'a DeletionInstance) -> NaiveState<'a> {
-        NaiveState {
-            inst,
-            members: inst.witness_member_slots(),
-            current: BTreeSet::new(),
-        }
-    }
-}
-
-#[cfg(feature = "legacy-oracles")]
-impl SearchState for NaiveState<'_> {
-    fn side_effect_count(&self) -> usize {
-        self.inst.side_effect_count(&self.current)
-    }
-    fn delta_if_deleted(&mut self, slot: usize) -> usize {
-        let before = self.side_effect_count();
-        self.insert(slot);
-        let after = self.side_effect_count();
-        self.remove(slot);
-        after - before
-    }
-    fn insert(&mut self, slot: usize) {
-        self.current.insert(self.inst.support[slot].clone());
-    }
-    fn remove(&mut self, slot: usize) {
-        self.current.remove(&self.inst.support[slot]);
-    }
-    fn support_len(&self) -> usize {
-        self.inst.support.len()
-    }
-    fn target_witness_count(&self) -> usize {
-        self.members.len()
-    }
-    fn target_witness_hit(&self, i: usize) -> bool {
-        self.members[i]
-            .iter()
-            .any(|&s| self.current.contains(&self.inst.support[s]))
-    }
-    fn target_witness_members(&self, i: usize) -> &[usize] {
-        &self.members[i]
-    }
-    fn deleted_tids(&self) -> BTreeSet<Tid> {
-        self.current.clone()
     }
 }
 
@@ -282,8 +143,8 @@ struct SearchCtx {
 
 /// Branch-and-bound over (minimal) hitting sets of the target's witnesses.
 /// Returns the best solution with side-effect count `< cap`, or `None`.
-fn run_search<S: SearchState>(
-    state: &mut S,
+fn run_search(
+    idx: &mut WitnessIndex,
     cap: usize,
     opts: &ExactOptions,
 ) -> Result<Option<(BTreeSet<Tid>, usize)>> {
@@ -293,46 +154,42 @@ fn run_search<S: SearchState>(
         best: None,
         bound: cap,
     };
-    let mut excluded = vec![false; state.support_len()];
-    recurse(state, &mut ctx, &mut excluded)?;
+    let mut excluded = vec![false; idx.support().len()];
+    recurse(idx, &mut ctx, &mut excluded)?;
     Ok(ctx.best)
 }
 
-fn recurse<S: SearchState>(
-    state: &mut S,
-    ctx: &mut SearchCtx,
-    excluded: &mut [bool],
-) -> Result<()> {
+fn recurse(idx: &mut WitnessIndex, ctx: &mut SearchCtx, excluded: &mut [bool]) -> Result<()> {
     ctx.nodes += 1;
     if ctx.nodes > ctx.budget {
         return Err(CoreError::BudgetExhausted { budget: ctx.budget });
     }
     // Side effects only grow as the deletion set grows — prune at the bound.
-    let se = state.side_effect_count();
+    let se = idx.side_effect_count();
     if se >= ctx.bound {
         return Ok(());
     }
     // Pick the unhit witness with the fewest available choices (fail-first
     // on width); `None` means the current set is already a hitting set.
-    let Some((_, wi)) = pick_witness(state, excluded) else {
-        ctx.best = Some((state.deleted_tids(), se));
+    let Some((_, wi)) = pick_witness(idx, excluded) else {
+        ctx.best = Some((idx.deleted_tids(), se));
         ctx.bound = se; // future solutions must be strictly better
         return Ok(());
     };
     // Order the branch choices by their incremental side-effect delta —
     // fail-first on *cost*: cheap branches first tighten the bound early.
-    let members: Vec<usize> = state.target_witness_members(wi).to_vec();
+    let members: Vec<usize> = idx.target_witness_members(wi).to_vec();
     let mut choices: Vec<(usize, usize)> = members
         .into_iter()
         .filter(|&s| !excluded[s])
-        .map(|s| (state.delta_if_deleted(s), s))
+        .map(|s| (idx.delta_if_deleted(s), s))
         .collect();
     choices.sort_unstable();
     let mut locally_excluded = Vec::new();
     for (_, slot) in choices {
-        state.insert(slot);
-        recurse(state, ctx, excluded)?;
-        state.remove(slot);
+        idx.insert_slot(slot);
+        recurse(idx, ctx, excluded)?;
+        idx.remove_slot(slot);
         // Standard minimal-hitting-set enumeration: once a branch for
         // `slot` is fully explored, later siblings must not use it.
         excluded[slot] = true;
@@ -350,13 +207,13 @@ fn recurse<S: SearchState>(
 /// The fail-first branching choice of [`recurse`]: the unhit target
 /// witness with the fewest non-excluded member slots, as
 /// `(available, witness)`.
-fn pick_witness<S: SearchState>(state: &S, excluded: &[bool]) -> Option<(usize, usize)> {
+fn pick_witness(idx: &WitnessIndex, excluded: &[bool]) -> Option<(usize, usize)> {
     let mut pick: Option<(usize, usize)> = None;
-    for wi in 0..state.target_witness_count() {
-        if state.target_witness_hit(wi) {
+    for wi in 0..idx.target_witness_count() {
+        if idx.target_witness_hit(wi) {
             continue;
         }
-        let avail = state
+        let avail = idx
             .target_witness_members(wi)
             .iter()
             .filter(|&&s| !excluded[s])

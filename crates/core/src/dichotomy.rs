@@ -10,7 +10,7 @@
 
 use crate::deletion::view_side_effect::ExactOptions;
 use crate::deletion::{Deletion, DeletionContext, Objective};
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::placement::generic::{min_side_effect_placement, PlacementIndex};
 use crate::placement::sju::sju_placement;
 use crate::placement::spu::spu_placement;
@@ -170,11 +170,12 @@ pub fn delete_min_view_side_effects_with_fds(
     fds: &dap_relalg::FdCatalog,
     target: &Tuple,
 ) -> Result<(Deletion, SolverKind)> {
-    if crate::deletion::keyed::is_keyed(q, db, fds)? {
-        let sol = crate::deletion::keyed::keyed_view_deletion(q, db, fds, target)?;
-        return Ok((sol, SolverKind::Keyed));
+    // `WrongClass` is the keyed path's "not keyed" answer, decided before
+    // it evaluates anything.
+    match crate::deletion::keyed::keyed_view_deletion(q, db, fds, target) {
+        Err(CoreError::WrongClass { .. }) => delete_min_view_side_effects(q, db, target),
+        sol => Ok((sol?, SolverKind::Keyed)),
     }
-    delete_min_view_side_effects(q, db, target)
 }
 
 /// Place an annotation reaching `target` with minimum side effects,

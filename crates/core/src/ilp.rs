@@ -48,27 +48,16 @@
 //! asserts identical optima per row.
 
 use crate::deletion::index::WitnessIndex;
+use crate::deletion::view_side_effect::ExactOptions;
 use crate::deletion::{Deletion, DeletionContext, Objective};
 use crate::error::{CoreError, Result};
 use dap_relalg::{Tid, Tuple};
 use dap_sat::pb::{self, PbConstraint, PbProblem};
 use std::collections::{BTreeSet, HashMap};
 
-/// Knobs for the ILP solver.
-#[derive(Clone, Debug)]
-pub struct IlpOptions {
-    /// Maximum branch-and-bound nodes before
-    /// [`CoreError::BudgetExhausted`]. Defaults to unlimited.
-    pub node_budget: u64,
-}
-
-impl Default for IlpOptions {
-    fn default() -> IlpOptions {
-        IlpOptions {
-            node_budget: u64::MAX,
-        }
-    }
-}
+/// Knobs for the ILP solver: the same node budget the exact arms of
+/// [`DeletionContext::solve`] take.
+pub type IlpOptions = ExactOptions;
 
 /// One deletion-propagation problem for [`DeletionContext::solve_ilp`]:
 /// which view tuples must go, which cost to minimize, and optional

@@ -12,14 +12,11 @@
 //! evaluator once (the engine's where-provenance instance) and inverts it
 //! into a source-location → reached-view-locations map, so solving for a
 //! target — or many targets — costs one tree walk total instead of one
-//! forward propagation per candidate. The per-candidate path survives as
-//! `multipass_min_side_effect_placement` (cargo feature `legacy-oracles`),
-//! the legacy oracle the differential tests compare against.
+//! forward propagation per candidate. The per-candidate multipass solver is
+//! the differential-test oracle in `tests/support/legacy_walks.rs`.
 
 use crate::error::{CoreError, Result};
 use crate::placement::Placement;
-#[cfg(feature = "legacy-oracles")]
-use dap_provenance::{propagate, where_provenance_legacy};
 use dap_provenance::{where_provenance, SourceLoc, ViewLoc, WhereProvenance};
 use dap_relalg::{Database, Query};
 use std::collections::{BTreeMap, BTreeSet};
@@ -140,52 +137,6 @@ pub fn side_effect_free_placement(
     Ok(best.is_side_effect_free().then_some(best))
 }
 
-/// The legacy multipass solver: candidates from the standalone backward
-/// walk, then **one full forward propagation per candidate**. Kept as the
-/// cross-check oracle for the differential property tests — use
-/// [`min_side_effect_placement`] everywhere else.
-#[cfg(feature = "legacy-oracles")]
-pub fn multipass_min_side_effect_placement(
-    q: &Query,
-    db: &Database,
-    target: &ViewLoc,
-) -> Result<Placement> {
-    let wp = where_provenance_legacy(q, db)?;
-    let candidates: &BTreeSet<SourceLoc> = wp
-        .locations_of(&target.tuple, &target.attr)
-        .ok_or_else(|| CoreError::TargetLocationNotInView {
-            loc: target.clone(),
-        })?;
-    if candidates.is_empty() {
-        return Err(CoreError::NoCandidateLocation {
-            loc: target.clone(),
-        });
-    }
-    let mut best: Option<Placement> = None;
-    for cand in candidates {
-        // One whole tree walk per candidate — the cost the batched index
-        // eliminates.
-        let mut reached = propagate(q, db, cand)?;
-        debug_assert!(reached.contains(target), "candidate must reach the target");
-        reached.remove(target);
-        let better = match &best {
-            None => true,
-            Some(b) => reached.len() < b.side_effects.len(),
-        };
-        if better {
-            let done = reached.is_empty();
-            best = Some(Placement {
-                source: cand.clone(),
-                side_effects: reached,
-            });
-            if done {
-                break; // cannot beat zero side effects
-            }
-        }
-    }
-    Ok(best.expect("candidates were non-empty"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,32 +250,6 @@ mod tests {
                 reached.remove(&target);
                 assert_eq!(reached, p.side_effects, "target {target}");
             }
-        }
-    }
-
-    #[test]
-    #[cfg(feature = "legacy-oracles")]
-    fn batched_index_and_multipass_agree_everywhere() {
-        let (q, db) = fixture();
-        let view = dap_relalg::eval(&q, &db).unwrap();
-        let index = PlacementIndex::build(&q, &db).unwrap();
-        let targets: Vec<ViewLoc> = view
-            .tuples
-            .iter()
-            .flat_map(|t| {
-                view.schema
-                    .attrs()
-                    .iter()
-                    .map(|a| ViewLoc::new(t.clone(), a.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let batched = min_side_effect_placements(&q, &db, &targets).unwrap();
-        for (target, fast) in targets.iter().zip(&batched) {
-            assert_eq!(fast, &index.place(target).unwrap());
-            let slow = multipass_min_side_effect_placement(&q, &db, target).unwrap();
-            assert_eq!(fast.source, slow.source, "target {target}");
-            assert_eq!(fast.side_effects, slow.side_effects, "target {target}");
         }
     }
 

@@ -13,11 +13,11 @@
 //! tail through the exact serving paths a live commit uses.
 //!
 //! The crash model is taken seriously rather than assumed away: the
-//! [`LogFile`] trait is the only thing touching bytes, and the
-//! `FaultyLog` implementation (behind the `testing` cargo feature)
-//! simulates a crash at *any* byte offset of the write stream (tearing
-//! the append that crosses it) plus bit-level media corruption. The
-//! property suites in `tests/prop_durability.rs`
+//! [`LogFile`] trait is the only thing touching bytes, so a test can swap
+//! in a fault-injecting sink (`FaultyLog`, in `tests/support/faulty_log.rs`)
+//! that simulates a crash at *any* byte offset of the write stream
+//! (tearing the append that crosses it) plus bit-level media corruption.
+//! The property suites in `tests/prop_durability.rs`
 //! sweep every crash point of generated workloads and assert
 //! **prefix-consistency**: recovery always lands on a state identical to
 //! some prefix of the committed operations, corrupt tails are detected by
@@ -65,8 +65,6 @@ pub mod state;
 pub use crc::crc32;
 pub use frame::{decode_all, decode_frame, encode_frame, frame_bytes, FrameError};
 pub use log::{CommitLog, LogRecord};
-#[cfg(any(test, feature = "testing"))]
-pub use logfile::FaultyLog;
 pub use logfile::{FsyncMode, LogFile, MemLog, SharedBytes, StdLogFile};
 pub use snapshot::Snapshot;
 pub use state::{recover, recover_with, DurableOptions, DurableState, RecoveryReport, LOG_FILE};

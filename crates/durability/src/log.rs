@@ -283,21 +283,4 @@ mod tests {
             (6, LogRecord::Unregister(QueryId::from_index(0)))
         );
     }
-
-    #[test]
-    fn failed_append_is_not_acknowledged() {
-        let (faulty, buf) = crate::logfile::FaultyLog::new(10);
-        let mut log = CommitLog::new(Box::new(faulty), FsyncMode::Never, 0);
-        let big = LogRecord::Delete((0..8).map(|i| Tid::new("Relation", i)).collect());
-        let err = log.append(&big).unwrap_err();
-        assert!(matches!(err, CoreError::Io { .. }));
-        // The sequence did not advance and the disk holds a torn frame.
-        assert_eq!(log.next_seq(), 0);
-        let bytes = buf.lock().unwrap().clone();
-        assert_eq!(bytes.len(), 10);
-        let (frames, end, torn) = decode_all(&bytes);
-        assert!(frames.is_empty());
-        assert_eq!(end, 0);
-        assert!(torn.is_some());
-    }
 }

@@ -1,5 +1,6 @@
-//! The byte sink the commit log writes through — a real file, an
-//! in-memory buffer, or the fault-injection harness.
+//! The byte sink the commit log writes through — a real file or an
+//! in-memory buffer; the crash tests plug a fault-injecting sink
+//! (`tests/support/faulty_log.rs`) into the same trait.
 //!
 //! Everything above this module ([`crate::log::CommitLog`],
 //! [`crate::state::DurableState`]) is written against the [`LogFile`]
@@ -197,120 +198,6 @@ impl LogFile for MemLog {
     }
 }
 
-/// The fault-injection [`LogFile`]: persists into a [`SharedBytes`]
-/// buffer until a byte budget runs out, then *tears* the append that
-/// crossed the budget (persisting only the prefix that fit) and fails it
-/// and every later append — simulating a crash at an arbitrary byte
-/// offset of the write stream. Optionally flips one bit of what was
-/// persisted, simulating media corruption beneath a successful write.
-///
-/// The surviving buffer is exactly what recovery gets to see; tests sweep
-/// the budget over every offset of a workload's write stream to prove
-/// prefix-consistency at *every* crash point.
-///
-/// Available to downstream crates (the serve chaos harness, benches)
-/// behind the `testing` cargo feature; release builds exclude it.
-#[cfg(any(test, feature = "testing"))]
-pub struct FaultyLog {
-    buf: SharedBytes,
-    /// Bytes still allowed to persist before the simulated crash.
-    budget: usize,
-    crashed: bool,
-    /// `(offset, bit)` to corrupt once that offset exists.
-    flip: Option<(usize, u8)>,
-}
-
-#[cfg(any(test, feature = "testing"))]
-impl FaultyLog {
-    /// A log that crashes once `budget` persisted bytes are exceeded.
-    pub fn new(budget: usize) -> (FaultyLog, SharedBytes) {
-        let buf: SharedBytes = Arc::default();
-        (
-            FaultyLog {
-                buf: buf.clone(),
-                budget,
-                crashed: false,
-                flip: None,
-            },
-            buf,
-        )
-    }
-
-    /// Additionally flip bit `bit` of the byte at `offset` as soon as
-    /// that byte is persisted.
-    pub fn with_bit_flip(budget: usize, offset: usize, bit: u8) -> (FaultyLog, SharedBytes) {
-        let (mut log, buf) = FaultyLog::new(budget);
-        log.flip = Some((offset, bit % 8));
-        (log, buf)
-    }
-
-    /// Has the simulated crash happened yet?
-    pub fn crashed(&self) -> bool {
-        self.crashed
-    }
-}
-
-/// Fire a pending `(offset, bit)` flip once that offset is persisted.
-#[cfg(any(test, feature = "testing"))]
-fn apply_flip(flip: &mut Option<(usize, u8)>, buf: &mut [u8]) {
-    if let Some((at, bit)) = *flip {
-        if at < buf.len() {
-            buf[at] ^= 1 << bit;
-            *flip = None;
-        }
-    }
-}
-
-#[cfg(any(test, feature = "testing"))]
-impl LogFile for FaultyLog {
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let mut buf = self.buf.lock().expect("poisoned");
-        if self.crashed {
-            return Err(io::Error::other("simulated crash: log file is gone"));
-        }
-        if bytes.len() <= self.budget {
-            self.budget -= bytes.len();
-            buf.extend_from_slice(bytes);
-            apply_flip(&mut self.flip, &mut buf);
-            return Ok(());
-        }
-        // Torn write: the prefix that fit the budget reaches the disk,
-        // the rest of the record never does, and the writer sees a crash.
-        let fit = self.budget;
-        self.budget = 0;
-        self.crashed = true;
-        buf.extend_from_slice(&bytes[..fit]);
-        apply_flip(&mut self.flip, &mut buf);
-        Err(io::Error::other("simulated crash: torn append"))
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        if self.crashed {
-            return Err(io::Error::other("simulated crash: log file is gone"));
-        }
-        Ok(())
-    }
-
-    fn offset(&self) -> u64 {
-        self.buf.lock().expect("poisoned").len() as u64
-    }
-
-    fn rotate(&mut self, keep_from: u64) -> io::Result<()> {
-        if self.crashed {
-            return Err(io::Error::other("simulated crash: log file is gone"));
-        }
-        let mut buf = self.buf.lock().expect("poisoned");
-        let keep = (keep_from.min(buf.len() as u64)) as usize;
-        buf.drain(..keep);
-        // A pending flip aimed at a rotated-away byte shifts with the
-        // surviving suffix; one aimed inside the dropped prefix is spent.
-        if let Some((at, bit)) = self.flip {
-            self.flip = at.checked_sub(keep).map(|at| (at, bit));
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,41 +270,5 @@ mod tests {
         log.rotate(4).unwrap();
         assert_eq!(log.offset(), 2);
         assert_eq!(&*buf.lock().unwrap(), b"ef");
-    }
-
-    #[test]
-    fn faulty_log_rotation_respects_the_crash() {
-        let (mut log, buf) = FaultyLog::new(4);
-        log.append(b"abcd").unwrap();
-        log.rotate(2).unwrap();
-        assert_eq!(&*buf.lock().unwrap(), b"cd");
-        assert!(log.append(b"x").is_err());
-        assert!(log.rotate(1).is_err());
-        assert_eq!(&*buf.lock().unwrap(), b"cd");
-    }
-
-    #[test]
-    fn faulty_log_tears_the_crossing_write() {
-        let (mut log, buf) = FaultyLog::new(5);
-        log.append(b"abc").unwrap();
-        assert!(!log.crashed());
-        // 3 persisted + 4 requested crosses the 5-byte budget: 2 land.
-        assert!(log.append(b"defg").is_err());
-        assert!(log.crashed());
-        assert_eq!(&*buf.lock().unwrap(), b"abcde");
-        // Everything after the crash fails without persisting.
-        assert!(log.append(b"x").is_err());
-        assert!(log.sync().is_err());
-        assert_eq!(&*buf.lock().unwrap(), b"abcde");
-    }
-
-    #[test]
-    fn faulty_log_flips_the_requested_bit() {
-        let (mut log, buf) = FaultyLog::with_bit_flip(100, 1, 0);
-        log.append(b"ab").unwrap();
-        assert_eq!(&*buf.lock().unwrap(), &[b'a', b'b' ^ 1]);
-        // The flip fires once.
-        log.append(b"b").unwrap();
-        assert_eq!(&*buf.lock().unwrap(), &[b'a', b'b' ^ 1, b'b']);
     }
 }

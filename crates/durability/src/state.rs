@@ -23,7 +23,7 @@
 use crate::log::{CommitLog, LogRecord};
 use crate::logfile::{FsyncMode, LogFile, StdLogFile};
 use crate::snapshot::Snapshot;
-use dap_core::{CoreError, DeletionContext, Result};
+use dap_core::{CoreError, Result};
 use dap_provenance::WitnessesAnn;
 use dap_relalg::{Database, PlanRegistry, Query, QueryId, Tid, ViewDelta};
 use std::collections::{BTreeMap, BTreeSet};
@@ -150,8 +150,8 @@ impl DurableState {
 
     /// [`DurableState::create`] with an explicit log sink — the
     /// fault-injection entry point: the snapshot goes to `dir` as usual
-    /// while appends flow through `file` (e.g. a `FaultyLog`, behind the
-    /// `testing` feature), whose surviving bytes a test then plants as
+    /// while appends flow through `file` (e.g. the crash tests'
+    /// `FaultyLog`), whose surviving bytes a test then plants as
     /// `dir/commit.log` before exercising [`recover`].
     pub fn create_with_log(
         dir: &Path,
@@ -191,7 +191,7 @@ impl DurableState {
     }
 
     /// Mutable registry access — for *ephemeral* uses only (e.g.
-    /// [`DeletionContext::new_in_registry`], whose registration is
+    /// [`dap_core::DeletionContext::new_in_registry`], whose registration is
     /// deliberately not durable). Committing deletions or catalog changes
     /// through this handle bypasses the log and will not survive a crash.
     pub fn registry_mut(&mut self) -> &mut PlanRegistry<WitnessesAnn> {
@@ -268,24 +268,6 @@ impl DurableState {
         let deltas = self.reg.delete_sources(tids);
         self.maybe_snapshot()?;
         Ok(deltas)
-    }
-
-    /// Durably commit a deletion through a registry-backed
-    /// [`DeletionContext`] (the serving loop's
-    /// [`DeletionContext::apply_delete_in`] path): log the batch, then
-    /// apply-and-sync through the context.
-    pub fn apply_delete_ctx(
-        &mut self,
-        ctx: &mut DeletionContext,
-        tids: &BTreeSet<Tid>,
-    ) -> Result<ViewDelta> {
-        if tids.is_empty() {
-            return Ok(ctx.apply_delete_in(&mut self.reg, tids));
-        }
-        self.log_applied(&LogRecord::Delete(tids.iter().cloned().collect()))?;
-        let delta = ctx.apply_delete_in(&mut self.reg, tids);
-        self.maybe_snapshot()?;
-        Ok(delta)
     }
 
     /// Force the commit log to stable storage (meaningful under
@@ -553,6 +535,7 @@ pub fn recover(dir: &Path) -> Result<(DurableState, RecoveryReport)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dap_core::DeletionContext;
     use dap_relalg::{parse_database, parse_query, tuple, Tuple};
 
     /// A registered view's rows + witness annotations, for equality

@@ -13,11 +13,7 @@
 //! minimal witness basis (tested).
 
 use crate::witness::{minimize, Witness};
-#[cfg(feature = "legacy-oracles")]
-use dap_relalg::{output_schema, Attr};
 use dap_relalg::{Database, Query, Result, Schema, Tid, Tuple};
-#[cfg(feature = "legacy-oracles")]
-use std::collections::HashMap;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -182,137 +178,6 @@ pub fn provenance_exprs(q: &Query, db: &Database) -> Result<ProvenanceExprs> {
         .zip(annots.into_iter().map(|a| a.0))
         .collect();
     Ok(ProvenanceExprs { schema, map })
-}
-
-/// The original standalone expression walk, kept as the reference oracle
-/// for the differential property tests. The engine and legacy expressions
-/// may differ *structurally* (operand grouping), but are logically
-/// equivalent — compare via [`BoolExpr::prime_implicants`] or
-/// [`BoolExpr::eval_deleted`].
-#[cfg(feature = "legacy-oracles")]
-pub fn provenance_exprs_legacy(q: &Query, db: &Database) -> Result<ProvenanceExprs> {
-    let catalog = db.catalog();
-    output_schema(q, &catalog)?;
-    let (schema, map) = walk(q, db)?;
-    Ok(ProvenanceExprs { schema, map })
-}
-
-#[cfg(feature = "legacy-oracles")]
-type ExprMap = BTreeMap<Tuple, BoolExpr>;
-
-#[cfg(feature = "legacy-oracles")]
-fn walk(q: &Query, db: &Database) -> Result<(Schema, ExprMap)> {
-    match q {
-        Query::Scan(rel) => {
-            let r = db.require(rel)?;
-            let map = r
-                .tuples()
-                .iter()
-                .enumerate()
-                .map(|(row, t)| {
-                    (
-                        t.clone(),
-                        BoolExpr::Var(Tid {
-                            rel: r.name().clone(),
-                            row,
-                        }),
-                    )
-                })
-                .collect();
-            Ok((r.schema().clone(), map))
-        }
-        Query::Select { input, pred } => {
-            let (schema, map) = walk(input, db)?;
-            let mut out = ExprMap::new();
-            for (t, e) in map {
-                if pred.eval(&schema, &t)? {
-                    out.insert(t, e);
-                }
-            }
-            Ok((schema, out))
-        }
-        Query::Project { input, attrs } => {
-            let (schema, map) = walk(input, db)?;
-            let out_schema = schema.project(attrs)?;
-            let positions = schema.positions_of(attrs)?;
-            let mut out = ExprMap::new();
-            for (t, e) in map {
-                let key = t.project_positions(&positions);
-                let merged = match out.remove(&key) {
-                    Some(existing) => existing.or(e),
-                    None => e,
-                };
-                out.insert(key, merged);
-            }
-            Ok((out_schema, out))
-        }
-        Query::Join { left, right } => {
-            let (ls, lmap) = walk(left, db)?;
-            let (rs, rmap) = walk(right, db)?;
-            let shared: Vec<Attr> = ls.shared_with(&rs);
-            let out_schema = ls.join_with(&rs);
-            let l_keys: Vec<usize> = shared
-                .iter()
-                .map(|a| ls.index_of(a).expect("shared"))
-                .collect();
-            let r_keys: Vec<usize> = shared
-                .iter()
-                .map(|a| rs.index_of(a).expect("shared"))
-                .collect();
-            let r_extra: Vec<usize> = rs
-                .attrs()
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| !ls.contains(a))
-                .map(|(i, _)| i)
-                .collect();
-            let mut table: HashMap<Vec<dap_relalg::Value>, Vec<(&Tuple, &BoolExpr)>> =
-                HashMap::with_capacity(rmap.len());
-            for (t, e) in &rmap {
-                let key = r_keys.iter().map(|&i| t.get(i).clone()).collect::<Vec<_>>();
-                table.entry(key).or_default().push((t, e));
-            }
-            let mut out = ExprMap::new();
-            for (lt, le) in &lmap {
-                let key = l_keys
-                    .iter()
-                    .map(|&i| lt.get(i).clone())
-                    .collect::<Vec<_>>();
-                let Some(matches) = table.get(&key) else {
-                    continue;
-                };
-                for (rt, re) in matches {
-                    let joined = lt.join_concat(rt, &r_extra);
-                    let product = le.clone().and((*re).clone());
-                    let merged = match out.remove(&joined) {
-                        Some(existing) => existing.or(product),
-                        None => product,
-                    };
-                    out.insert(joined, merged);
-                }
-            }
-            Ok((out_schema, out))
-        }
-        Query::Union { left, right } => {
-            let (ls, lmap) = walk(left, db)?;
-            let (rs, rmap) = walk(right, db)?;
-            let positions = rs.positions_of(ls.attrs())?;
-            let mut out = lmap;
-            for (t, e) in rmap {
-                let aligned = t.project_positions(&positions);
-                let merged = match out.remove(&aligned) {
-                    Some(existing) => existing.or(e),
-                    None => e,
-                };
-                out.insert(aligned, merged);
-            }
-            Ok((ls, out))
-        }
-        Query::Rename { input, mapping } => {
-            let (schema, map) = walk(input, db)?;
-            Ok((schema.rename(mapping)?, map))
-        }
-    }
 }
 
 #[cfg(test)]

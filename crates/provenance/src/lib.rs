@@ -20,9 +20,8 @@
 //! [`engine`] module supplies the [`dap_relalg::Annotation`] carriers
 //! (witness sets, per-attribute location sets, tuple-id sets, Boolean
 //! expressions) and `dap_relalg::eval_annotated` performs the single tree
-//! walk. The original standalone walks survive as `*_legacy` oracles for
-//! the differential property tests, behind the `legacy-oracles` cargo
-//! feature (enabled by the test suites and CI, off in release builds).
+//! walk. The original standalone walks are the differential-test oracles
+//! in `tests/support/legacy_walks.rs`, outside the shipped crates.
 //!
 //! ```
 //! use dap_provenance::{why_provenance, where_provenance};
@@ -55,8 +54,6 @@ pub mod why;
 pub mod witness;
 
 pub use annotate::{propagate, propagate_all, PropagationIndex};
-#[cfg(feature = "legacy-oracles")]
-pub use boolexpr::provenance_exprs_legacy;
 pub use boolexpr::{provenance_exprs, BoolExpr, ProvenanceExprs};
 pub use engine::{ExprAnn, LineageAnn, LocationsAnn, WitnessesAnn};
 pub use lineage::{
@@ -64,10 +61,6 @@ pub use lineage::{
 };
 pub use location::{SourceLoc, ViewLoc};
 pub use store::{AnnotatedRow, AnnotatedView, AnnotationStore};
-#[cfg(feature = "legacy-oracles")]
-pub use where_prov::where_provenance_legacy;
 pub use where_prov::{where_provenance, WhereProvenance};
-#[cfg(feature = "legacy-oracles")]
-pub use why::why_provenance_legacy;
 pub use why::{minimal_witnesses, why_provenance, WhyProvenance};
 pub use witness::{is_minimal_witness, is_sufficient, minimize, support, Witness};

@@ -8,17 +8,13 @@
 //! ([`dap_relalg::eval_annotated`]) with the [`LocationsAnn`] instance — the
 //! backward reading of the paper's five forward rules, batched over *all*
 //! source locations in one pass; `crate::annotate` implements the forward
-//! reading independently, and the two are cross-checked by tests.
-//! `where_provenance_legacy` (cargo feature `legacy-oracles`) preserves the
-//! original standalone walk as the differential-test oracle.
+//! reading independently, and the two are cross-checked by tests. The
+//! original standalone walk is the differential-test oracle in
+//! `tests/support/legacy_walks.rs`.
 
 use crate::engine::LocationsAnn;
 use crate::location::{SourceLoc, ViewLoc};
 use dap_relalg::{eval_annotated, Attr, Database, Query, Result, Schema, Tuple};
-#[cfg(feature = "legacy-oracles")]
-use dap_relalg::{output_schema, Tid};
-#[cfg(feature = "legacy-oracles")]
-use std::collections::HashMap;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-attribute source-location sets for every output tuple.
@@ -143,168 +139,6 @@ pub fn where_provenance(q: &Query, db: &Database) -> Result<WhereProvenance> {
         .zip(annots.into_iter().map(|a| a.0))
         .collect();
     Ok(WhereProvenance { schema, map })
-}
-
-/// The original standalone location walk, kept as the reference oracle for
-/// the differential property tests (`tests/prop_provenance.rs`). Prefer
-/// [`where_provenance`], which computes the same result on the shared
-/// engine.
-#[cfg(feature = "legacy-oracles")]
-pub fn where_provenance_legacy(q: &Query, db: &Database) -> Result<WhereProvenance> {
-    let catalog = db.catalog();
-    output_schema(q, &catalog)?;
-    let (schema, map) = walk(q, db)?;
-    Ok(WhereProvenance { schema, map })
-}
-
-#[cfg(feature = "legacy-oracles")]
-type LocSets = Vec<BTreeSet<SourceLoc>>;
-#[cfg(feature = "legacy-oracles")]
-type AnnMap = BTreeMap<Tuple, LocSets>;
-
-#[cfg(feature = "legacy-oracles")]
-fn merge_into(dst: &mut LocSets, src: &LocSets) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        d.extend(s.iter().cloned());
-    }
-}
-
-#[cfg(feature = "legacy-oracles")]
-fn walk(q: &Query, db: &Database) -> Result<(Schema, AnnMap)> {
-    match q {
-        Query::Scan(rel) => {
-            let r = db.require(rel)?;
-            let attrs = r.schema().attrs().to_vec();
-            let map = r
-                .tuples()
-                .iter()
-                .enumerate()
-                .map(|(row, t)| {
-                    let tid = Tid {
-                        rel: r.name().clone(),
-                        row,
-                    };
-                    let sets: LocSets = attrs
-                        .iter()
-                        .map(|a| {
-                            [SourceLoc::new(tid.clone(), a.clone())]
-                                .into_iter()
-                                .collect()
-                        })
-                        .collect();
-                    (t.clone(), sets)
-                })
-                .collect();
-            Ok((r.schema().clone(), map))
-        }
-        Query::Select { input, pred } => {
-            // The selection rule: annotations pass through untouched for
-            // surviving tuples. Note the deliberate non-rule discussed in the
-            // paper: σ_{A=A'} does NOT copy annotations between A and A'.
-            let (schema, map) = walk(input, db)?;
-            let mut out = AnnMap::new();
-            for (t, sets) in map {
-                if pred.eval(&schema, &t)? {
-                    out.insert(t, sets);
-                }
-            }
-            Ok((schema, out))
-        }
-        Query::Project { input, attrs } => {
-            let (schema, map) = walk(input, db)?;
-            let out_schema = schema.project(attrs)?;
-            let positions = schema.positions_of(attrs)?;
-            let mut out = AnnMap::new();
-            for (t, sets) in map {
-                let key = t.project_positions(&positions);
-                let kept: LocSets = positions.iter().map(|&i| sets[i].clone()).collect();
-                out.entry(key)
-                    .and_modify(|existing| merge_into(existing, &kept))
-                    .or_insert(kept);
-            }
-            Ok((out_schema, out))
-        }
-        Query::Join { left, right } => {
-            let (ls, lmap) = walk(left, db)?;
-            let (rs, rmap) = walk(right, db)?;
-            let shared: Vec<Attr> = ls.shared_with(&rs);
-            let out_schema = ls.join_with(&rs);
-            let l_keys: Vec<usize> = shared
-                .iter()
-                .map(|a| ls.index_of(a).expect("shared"))
-                .collect();
-            let r_keys: Vec<usize> = shared
-                .iter()
-                .map(|a| rs.index_of(a).expect("shared"))
-                .collect();
-            let r_extra: Vec<usize> = rs
-                .attrs()
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| !ls.contains(a))
-                .map(|(i, _)| i)
-                .collect();
-            // For each left position that is a shared attribute, the right
-            // position it merges with (the join rule sends annotations from
-            // BOTH operands to a shared output attribute).
-            let merge_from_right: Vec<Option<usize>> =
-                ls.attrs().iter().map(|a| rs.index_of(a)).collect();
-            let mut table: HashMap<Vec<dap_relalg::Value>, Vec<(&Tuple, &LocSets)>> =
-                HashMap::with_capacity(rmap.len());
-            for (t, sets) in &rmap {
-                let key = r_keys.iter().map(|&i| t.get(i).clone()).collect::<Vec<_>>();
-                table.entry(key).or_default().push((t, sets));
-            }
-            let mut out = AnnMap::new();
-            for (lt, lsets) in &lmap {
-                let key = l_keys
-                    .iter()
-                    .map(|&i| lt.get(i).clone())
-                    .collect::<Vec<_>>();
-                let Some(matches) = table.get(&key) else {
-                    continue;
-                };
-                for (rt, rsets) in matches {
-                    let joined = lt.join_concat(rt, &r_extra);
-                    let mut sets: LocSets = Vec::with_capacity(out_schema.arity());
-                    for (i, from_right) in merge_from_right.iter().enumerate() {
-                        let mut s = lsets[i].clone();
-                        if let Some(j) = from_right {
-                            s.extend(rsets[*j].iter().cloned());
-                        }
-                        sets.push(s);
-                    }
-                    for &j in &r_extra {
-                        sets.push(rsets[j].clone());
-                    }
-                    out.entry(joined)
-                        .and_modify(|existing| merge_into(existing, &sets))
-                        .or_insert(sets);
-                }
-            }
-            Ok((out_schema, out))
-        }
-        Query::Union { left, right } => {
-            let (ls, lmap) = walk(left, db)?;
-            let (rs, rmap) = walk(right, db)?;
-            let positions = rs.positions_of(ls.attrs())?;
-            let mut out = lmap;
-            for (t, sets) in rmap {
-                let aligned_tuple = t.project_positions(&positions);
-                let aligned_sets: LocSets = positions.iter().map(|&i| sets[i].clone()).collect();
-                out.entry(aligned_tuple)
-                    .and_modify(|existing| merge_into(existing, &aligned_sets))
-                    .or_insert(aligned_sets);
-            }
-            Ok((ls, out))
-        }
-        Query::Rename { input, mapping } => {
-            // The renaming rule: the annotation follows the attribute to its
-            // new name; positionally nothing moves.
-            let (schema, map) = walk(input, db)?;
-            Ok((schema.rename(mapping)?, map))
-        }
-    }
 }
 
 #[cfg(test)]

@@ -9,19 +9,13 @@
 //! witness sets propagate through each operator and only inclusion-minimal
 //! sets survive each step (sound for monotone queries — see the module
 //! tests, which cross-check against brute-force witness verification).
-//! `why_provenance_legacy` (cargo feature `legacy-oracles`) preserves the
-//! original standalone walk as the differential-test oracle.
+//! The original standalone walk is the differential-test oracle in
+//! `tests/support/legacy_walks.rs`.
 
 use crate::engine::WitnessesAnn;
-#[cfg(feature = "legacy-oracles")]
-use crate::witness::minimize;
 use crate::witness::Witness;
 use dap_relalg::{eval_annotated, Database, Query, Result, Schema, Tuple};
-#[cfg(feature = "legacy-oracles")]
-use dap_relalg::{output_schema, Attr, Tid};
 use std::collections::BTreeMap;
-#[cfg(feature = "legacy-oracles")]
-use std::collections::HashMap;
 
 /// The why-provenance of a whole view: for each output tuple, its minimal
 /// witnesses.
@@ -102,17 +96,6 @@ pub fn why_provenance(q: &Query, db: &Database) -> Result<WhyProvenance> {
     Ok(WhyProvenance { schema, map })
 }
 
-/// The original standalone witness walk, kept as the reference oracle for
-/// the differential property tests (`tests/prop_provenance.rs`). Prefer
-/// [`why_provenance`], which computes the same result on the shared engine.
-#[cfg(feature = "legacy-oracles")]
-pub fn why_provenance_legacy(q: &Query, db: &Database) -> Result<WhyProvenance> {
-    let catalog = db.catalog();
-    output_schema(q, &catalog)?;
-    let (schema, map) = walk(q, db)?;
-    Ok(WhyProvenance { schema, map })
-}
-
 /// The minimal witnesses of a single output tuple (empty if `t` is not in
 /// the view).
 pub fn minimal_witnesses(q: &Query, db: &Database, t: &Tuple) -> Result<Vec<Witness>> {
@@ -120,128 +103,6 @@ pub fn minimal_witnesses(q: &Query, db: &Database, t: &Tuple) -> Result<Vec<Witn
         .witnesses_of(t)
         .map(<[Witness]>::to_vec)
         .unwrap_or_default())
-}
-
-#[cfg(feature = "legacy-oracles")]
-type AnnMap = BTreeMap<Tuple, Vec<Witness>>;
-
-#[cfg(feature = "legacy-oracles")]
-fn walk(q: &Query, db: &Database) -> Result<(Schema, AnnMap)> {
-    match q {
-        Query::Scan(rel) => {
-            let r = db.require(rel)?;
-            let map = r
-                .tuples()
-                .iter()
-                .enumerate()
-                .map(|(row, t)| {
-                    let w: Witness = [Tid {
-                        rel: r.name().clone(),
-                        row,
-                    }]
-                    .into_iter()
-                    .collect();
-                    (t.clone(), vec![w])
-                })
-                .collect();
-            Ok((r.schema().clone(), map))
-        }
-        Query::Select { input, pred } => {
-            let (schema, map) = walk(input, db)?;
-            let mut out = AnnMap::new();
-            for (t, ws) in map {
-                if pred.eval(&schema, &t)? {
-                    out.insert(t, ws);
-                }
-            }
-            Ok((schema, out))
-        }
-        Query::Project { input, attrs } => {
-            let (schema, map) = walk(input, db)?;
-            let out_schema = schema.project(attrs)?;
-            let positions = schema.positions_of(attrs)?;
-            let mut out = AnnMap::new();
-            for (t, ws) in map {
-                let key = t.project_positions(&positions);
-                out.entry(key).or_default().extend(ws);
-            }
-            for ws in out.values_mut() {
-                *ws = minimize(std::mem::take(ws));
-            }
-            Ok((out_schema, out))
-        }
-        Query::Join { left, right } => {
-            let (ls, lmap) = walk(left, db)?;
-            let (rs, rmap) = walk(right, db)?;
-            let shared: Vec<Attr> = ls.shared_with(&rs);
-            let out_schema = ls.join_with(&rs);
-            let l_keys: Vec<usize> = shared
-                .iter()
-                .map(|a| ls.index_of(a).expect("shared"))
-                .collect();
-            let r_keys: Vec<usize> = shared
-                .iter()
-                .map(|a| rs.index_of(a).expect("shared"))
-                .collect();
-            let r_extra: Vec<usize> = rs
-                .attrs()
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| !ls.contains(a))
-                .map(|(i, _)| i)
-                .collect();
-            let mut table: HashMap<Vec<dap_relalg::Value>, Vec<(&Tuple, &Vec<Witness>)>> =
-                HashMap::with_capacity(rmap.len());
-            for (t, ws) in &rmap {
-                let key = r_keys.iter().map(|&i| t.get(i).clone()).collect::<Vec<_>>();
-                table.entry(key).or_default().push((t, ws));
-            }
-            let mut out = AnnMap::new();
-            for (lt, lws) in &lmap {
-                let key = l_keys
-                    .iter()
-                    .map(|&i| lt.get(i).clone())
-                    .collect::<Vec<_>>();
-                let Some(matches) = table.get(&key) else {
-                    continue;
-                };
-                for (rt, rws) in matches {
-                    let joined = lt.join_concat(rt, &r_extra);
-                    let combined: Vec<Witness> = lws
-                        .iter()
-                        .flat_map(|lw| {
-                            rws.iter().map(move |rw| {
-                                lw.iter().cloned().chain(rw.iter().cloned()).collect()
-                            })
-                        })
-                        .collect();
-                    out.entry(joined).or_default().extend(combined);
-                }
-            }
-            for ws in out.values_mut() {
-                *ws = minimize(std::mem::take(ws));
-            }
-            Ok((out_schema, out))
-        }
-        Query::Union { left, right } => {
-            let (ls, lmap) = walk(left, db)?;
-            let (rs, rmap) = walk(right, db)?;
-            let positions = rs.positions_of(ls.attrs())?;
-            let mut out = lmap;
-            for (t, ws) in rmap {
-                let aligned = t.project_positions(&positions);
-                out.entry(aligned).or_default().extend(ws);
-            }
-            for ws in out.values_mut() {
-                *ws = minimize(std::mem::take(ws));
-            }
-            Ok((ls, out))
-        }
-        Query::Rename { input, mapping } => {
-            let (schema, map) = walk(input, db)?;
-            Ok((schema.rename(mapping)?, map))
-        }
-    }
 }
 
 #[cfg(test)]

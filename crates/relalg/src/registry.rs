@@ -48,11 +48,12 @@
 //!   so every node sees its children's settled deltas, and nodes whose
 //!   children produced no delta are skipped. Only the one-time operator
 //!   builds shard over the registry's [`ParPool`].
-//! * **A subscription outbox.** Multiple [`crate::plan::ViewDelta`]
-//!   consumers (e.g. `dap-core`'s registry-backed deletion contexts) can
-//!   [`PlanRegistry::subscribe`]; every effective `delete_sources` appends
-//!   `(tids, per-query delta)` to each subscriber's queue, and
-//!   [`PlanRegistry::drain_pending`] hands a consumer everything committed
+//! * **Subscriptions.** Every [`crate::plan::ViewDelta`] consumer (a
+//!   `dap serve` session, `dap-core`'s registry-backed deletion contexts)
+//!   opens its own queue on a query with
+//!   [`PlanRegistry::subscribe_session`]; every effective `delete_sources`
+//!   appends `(tids, per-query delta)` to each queue on that query, and
+//!   [`PlanRegistry::drain_session`] hands a consumer everything committed
 //!   since it last looked — including commits made through *other*
 //!   consumers of the same shared DAG.
 //!
@@ -135,12 +136,10 @@ impl fmt::Display for QueryId {
     }
 }
 
-/// Handle of one per-session subscription created by
-/// [`PlanRegistry::subscribe_session`]. Unlike the per-query outbox
-/// (where all consumers of a [`QueryId`] share one drain), each
-/// `SubscriberId` owns a private pending queue — the unit a server
-/// session drains without stealing deltas from other sessions watching
-/// the same query.
+/// Handle of one subscription created by
+/// [`PlanRegistry::subscribe_session`]. Each `SubscriberId` owns a
+/// private pending queue, so consumers watching the same [`QueryId`]
+/// never steal each other's deltas.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SubscriberId(u64);
 
@@ -296,12 +295,9 @@ pub struct PlanRegistry<A> {
     queries: BTreeMap<QueryId, RegisteredQuery>,
     /// Distinct root node → its tap.
     taps: HashMap<usize, RootTap>,
-    /// Per-subscriber pending `(tids, delta)` entries, appended by every
-    /// effective `delete_sources` call in commit order.
-    outbox: BTreeMap<QueryId, Vec<(Vec<Tid>, ViewDelta)>>,
-    /// Per-session subscriptions: private pending queues keyed by
-    /// [`SubscriberId`], so concurrent consumers of one query never steal
-    /// each other's deltas.
+    /// Subscriptions: private pending `(tids, delta)` queues keyed by
+    /// [`SubscriberId`], appended by every effective `delete_sources` call
+    /// in commit order.
     session_outbox: BTreeMap<SubscriberId, SessionSub>,
     next_subscriber: u64,
     /// Every tid ever deleted through this registry — replayed into nodes
@@ -347,7 +343,6 @@ impl<A: Annotation> PlanRegistry<A> {
             scans: Vec::new(),
             queries: BTreeMap::new(),
             taps: HashMap::new(),
-            outbox: BTreeMap::new(),
             session_outbox: BTreeMap::new(),
             next_subscriber: 0,
             committed: BTreeSet::new(),
@@ -485,13 +480,12 @@ impl<A: Annotation> PlanRegistry<A> {
 
     /// Remove a standing query, releasing its root reference; nodes no
     /// other query (transitively) needs are tombstoned and their memory
-    /// dropped. Returns whether `id` was registered. Any pending outbox
-    /// entries for `id` are discarded.
+    /// dropped. Returns whether `id` was registered. Subscriptions on `id`
+    /// close, discarding anything still pending.
     pub fn unregister(&mut self, id: QueryId) -> bool {
         let Some(rq) = self.queries.remove(&id) else {
             return false;
         };
-        self.outbox.remove(&id);
         self.session_outbox.retain(|_, sub| sub.query != id);
         let tap = self
             .taps
@@ -505,32 +499,11 @@ impl<A: Annotation> PlanRegistry<A> {
         true
     }
 
-    /// Subscribe `id` to the outbox: every subsequent effective
-    /// [`PlanRegistry::delete_sources`] call appends `(tids, delta)` for
-    /// this query, to be collected with [`PlanRegistry::drain_pending`].
-    /// Idempotent; unknown ids are ignored.
-    pub fn subscribe(&mut self, id: QueryId) {
-        if self.queries.contains_key(&id) {
-            self.outbox.entry(id).or_default();
-        }
-    }
-
-    /// Take everything committed since `id` last drained, in commit order.
-    /// Empty for unsubscribed or unknown ids.
-    pub fn drain_pending(&mut self, id: QueryId) -> Vec<(Vec<Tid>, ViewDelta)> {
-        self.outbox
-            .get_mut(&id)
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
-
     /// Open a *private* subscription on `id`: every subsequent effective
     /// [`PlanRegistry::delete_sources`] call appends `(tids, delta)` to
     /// this subscriber's own queue, drained with
-    /// [`PlanRegistry::drain_session`]. Multiple sessions subscribing to
-    /// the same query each get every delta (unlike the shared
-    /// [`PlanRegistry::subscribe`] outbox, whose drain is
-    /// first-come-first-served). `None` for unknown ids.
+    /// [`PlanRegistry::drain_session`]. Multiple subscribers on the same
+    /// query each get every delta. `None` for unknown ids.
     pub fn subscribe_session(&mut self, id: QueryId) -> Option<SubscriberId> {
         if !self.queries.contains_key(&id) {
             return None;
@@ -664,8 +637,8 @@ impl<A: Annotation> PlanRegistry<A> {
     /// out-of-range or already-dead rows, repeats) are skipped, so the
     /// call is idempotent and deletions are cumulative across calls; a
     /// batch with no effect returns empty deltas without touching the DAG.
-    /// Subscribed queries additionally get `(tids, delta)` appended to
-    /// their outbox.
+    /// Every subscription on a query additionally gets `(tids, delta)`
+    /// appended to its queue.
     pub fn delete_sources(&mut self, tids: &[Tid]) -> Vec<(QueryId, ViewDelta)> {
         // Record even no-op tids: a relation nobody scans *yet* must still
         // be replayed into nodes a later registration builds.
@@ -701,14 +674,10 @@ impl<A: Annotation> PlanRegistry<A> {
             .map(|(&q, rq)| (q, per_root[&rq.root].clone()))
             .collect();
         self.per_root_scratch = per_root;
-        for (q, delta) in &out {
-            if let Some(pending) = self.outbox.get_mut(q) {
-                pending.push((tids.to_vec(), delta.clone()));
-            }
-        }
+        // `out` ascends by query id (it is built from the `queries` map).
         for sub in self.session_outbox.values_mut() {
-            if let Some((_, delta)) = out.iter().find(|(q, _)| *q == sub.query) {
-                sub.pending.push((tids.to_vec(), delta.clone()));
+            if let Ok(i) = out.binary_search_by_key(&sub.query, |(q, _)| *q) {
+                sub.pending.push((tids.to_vec(), out[i].1.clone()));
             }
         }
         out
@@ -1247,18 +1216,18 @@ mod tests {
         let db = fixture();
         let mut reg = PlanRegistry::<Unit>::new(&db);
         let q1 = reg.register(&core()).unwrap();
-        reg.subscribe(q1);
+        let sub = reg.subscribe_session(q1).unwrap();
         let dev = db.tid_of("UserGroup", &tuple(["bob", "dev"])).unwrap();
         let staff = db.tid_of("UserGroup", &tuple(["bob", "staff"])).unwrap();
         reg.delete_sources(std::slice::from_ref(&dev));
         reg.delete_sources(std::slice::from_ref(&staff));
-        let pending = reg.drain_pending(q1);
+        let pending = reg.drain_session(sub);
         assert_eq!(pending.len(), 2);
         assert_eq!(pending[0].0, vec![dev]);
         assert_eq!(pending[0].1.removed, vec![tuple(["bob", "main"])]);
         assert_eq!(pending[1].0, vec![staff]);
         assert_eq!(pending[1].1.removed, vec![tuple(["bob", "report"])]);
-        assert!(reg.drain_pending(q1).is_empty(), "drain is destructive");
+        assert!(reg.drain_session(sub).is_empty(), "drain is destructive");
     }
 
     #[test]
@@ -1275,8 +1244,8 @@ mod tests {
         let dev = db.tid_of("UserGroup", &tuple(["bob", "dev"])).unwrap();
         let staff = db.tid_of("UserGroup", &tuple(["bob", "staff"])).unwrap();
         reg.delete_sources(std::slice::from_ref(&dev));
-        // Unlike the shared outbox, each subscriber sees every delta:
-        // a's drain does not steal b's copy.
+        // Each subscriber sees every delta: a's drain does not steal b's
+        // copy.
         let got_a = reg.drain_session(a);
         assert_eq!(got_a.len(), 1);
         assert_eq!(got_a[0].1.removed, vec![tuple(["bob", "main"])]);

@@ -15,13 +15,15 @@
 //! and reported — never a panic, never a half-applied commit.
 
 mod common;
+#[path = "support/faulty_log.rs"]
+mod faulty_log;
 
 use common::{small_database, tid_subset, typed_query};
 use dap::durability::{recover, DurableOptions, DurableState, FsyncMode, MemLog};
 use dap::prelude::*;
 use dap::provenance::WitnessesAnn;
 use dap::relalg::engine::Annotated;
-use dap_durability::FaultyLog;
+use faulty_log::FaultyLog;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -188,6 +190,62 @@ fn crash_scenario(
     assert_state_matches_oracle(&recovered, db, ops, acked);
     let _ = std::fs::remove_dir_all(&dir);
     (applied, total_bytes)
+}
+
+/// A torn append fails, leaves the sequence unadvanced, and persists only
+/// the torn prefix of its frame.
+#[test]
+fn failed_append_is_not_acknowledged() {
+    use dap::durability::{decode_all, CommitLog, LogRecord};
+    let (faulty, buf) = FaultyLog::new(10);
+    let mut log = CommitLog::new(Box::new(faulty), FsyncMode::Never, 0);
+    let big = LogRecord::Delete((0..8).map(|i| Tid::new("Relation", i)).collect());
+    let err = log.append(&big).unwrap_err();
+    assert!(matches!(err, CoreError::Io { .. }));
+    // The sequence did not advance and the disk holds a torn frame.
+    assert_eq!(log.next_seq(), 0);
+    let bytes = buf.lock().unwrap().clone();
+    assert_eq!(bytes.len(), 10);
+    let (frames, end, torn) = decode_all(&bytes);
+    assert!(frames.is_empty());
+    assert_eq!(end, 0);
+    assert!(torn.is_some());
+}
+
+#[test]
+fn faulty_log_rotation_respects_the_crash() {
+    let (mut log, buf) = FaultyLog::new(4);
+    log.append(b"abcd").unwrap();
+    log.rotate(2).unwrap();
+    assert_eq!(&*buf.lock().unwrap(), b"cd");
+    assert!(log.append(b"x").is_err());
+    assert!(log.rotate(1).is_err());
+    assert_eq!(&*buf.lock().unwrap(), b"cd");
+}
+
+#[test]
+fn faulty_log_tears_the_crossing_write() {
+    let (mut log, buf) = FaultyLog::new(5);
+    log.append(b"abc").unwrap();
+    assert!(!log.crashed());
+    // 3 persisted + 4 requested crosses the 5-byte budget: 2 land.
+    assert!(log.append(b"defg").is_err());
+    assert!(log.crashed());
+    assert_eq!(&*buf.lock().unwrap(), b"abcde");
+    // Everything after the crash fails without persisting.
+    assert!(log.append(b"x").is_err());
+    assert!(log.sync().is_err());
+    assert_eq!(&*buf.lock().unwrap(), b"abcde");
+}
+
+#[test]
+fn faulty_log_flips_the_requested_bit() {
+    let (mut log, buf) = FaultyLog::with_bit_flip(100, 1, 0);
+    log.append(b"ab").unwrap();
+    assert_eq!(&*buf.lock().unwrap(), &[b'a', b'b' ^ 1]);
+    // The flip fires once.
+    log.append(b"b").unwrap();
+    assert_eq!(&*buf.lock().unwrap(), &[b'a', b'b' ^ 1, b'b']);
 }
 
 /// The deterministic workload for exhaustive sweeps.
@@ -374,8 +432,9 @@ fn crash_during_rotation_recovers_prefix_consistently() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A recovered state keeps serving: the registry-backed deletion context
-/// built on it solves and commits identically to one built on the oracle.
+/// A recovered state keeps serving: a registry-backed deletion context
+/// built on it, caught up with `sync_in` after a durable `delete_sources`
+/// commit (the path `dap serve` takes), matches one built on the oracle.
 #[test]
 fn recovered_state_serves_deletion_contexts() {
     let (db, ops) = fixture_workload();
@@ -391,8 +450,18 @@ fn recovered_state_serves_deletion_contexts() {
     let mut ctx_rec = DeletionContext::new_in_registry(recovered.registry_mut(), &q).unwrap();
     let mut ctx_ora = DeletionContext::new_in_registry(&mut oracle, &q).unwrap();
     let batch = BTreeSet::from([Tid::new("GroupFile", 0)]);
-    // Durable path (logs, then applies through the context) vs oracle.
-    let d_rec = recovered.apply_delete_ctx(&mut ctx_rec, &batch).unwrap();
+    // Durable path (log, push through the registry, then sync the
+    // context) vs the oracle context's own commit.
+    let eph = ctx_rec.registry_query().expect("registry-backed context");
+    let deltas = recovered
+        .delete_sources(&batch.iter().cloned().collect::<Vec<_>>())
+        .unwrap();
+    let d_rec = deltas
+        .into_iter()
+        .find(|(id, _)| *id == eph)
+        .map(|(_, d)| d)
+        .expect("the context's query gets a delta");
+    ctx_rec.sync_in(recovered.registry_mut());
     let d_ora = ctx_ora.apply_delete_in(&mut oracle, &batch);
     assert_eq!(d_rec, d_ora);
     assert_eq!(ctx_rec.view_len(), ctx_ora.view_len());

@@ -7,14 +7,18 @@
 //! lineage).
 
 mod common;
+#[path = "support/legacy_walks.rs"]
+mod legacy_walks;
 
 use common::{small_database, typed_query};
+use dap::core::placement::generic::{min_side_effect_placements, PlacementIndex};
 use dap::prelude::*;
-use dap::provenance::{
-    is_sufficient, participating_tids, propagate_all, provenance_exprs_legacy,
-    where_provenance_legacy, why_provenance_legacy,
-};
+use dap::provenance::{is_sufficient, participating_tids, propagate_all};
 use dap::relalg::{eval_annotated, Unit};
+use legacy_walks::{
+    multipass_min_side_effect_placement, provenance_exprs_legacy, where_provenance_legacy,
+    why_provenance_legacy,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -182,8 +186,10 @@ proptest! {
     #[test]
     fn engine_where_matches_legacy((q, _) in typed_query(), db in small_database()) {
         let fast = where_provenance(&q, &db).expect("computes");
-        let slow = where_provenance_legacy(&q, &db).expect("computes");
-        prop_assert_eq!(fast, slow);
+        let (schema, slow) = where_provenance_legacy(&q, &db).expect("computes");
+        prop_assert_eq!(&fast.schema, &schema);
+        let slow: Vec<_> = slow.iter().map(|(t, sets)| (t, sets.as_slice())).collect();
+        prop_assert_eq!(fast.iter().collect::<Vec<_>>(), slow);
     }
 
     /// Batched forward propagation ≡ the legacy one-location-per-run rules:
@@ -207,11 +213,11 @@ proptest! {
     #[test]
     fn engine_exprs_match_legacy((q, _) in typed_query(), db in small_database()) {
         let fast = provenance_exprs(&q, &db).expect("computes");
-        let slow = provenance_exprs_legacy(&q, &db).expect("computes");
+        let (_, slow) = provenance_exprs_legacy(&q, &db).expect("computes");
         prop_assert_eq!(fast.len(), slow.len());
         let tids: Vec<Tid> = db.all_tids().collect();
         for (t, e) in fast.iter() {
-            let legacy = slow.expr_of(t).expect("same tuples");
+            let legacy = slow.get(t).expect("same tuples");
             prop_assert_eq!(
                 e.prime_implicants(), legacy.prime_implicants(), "implicants for {}", t
             );
@@ -253,9 +259,6 @@ proptest! {
     /// propagation per candidate) on every view location.
     #[test]
     fn engine_placement_matches_multipass((q, _) in typed_query(), db in small_database()) {
-        use dap::core::placement::generic::{
-            min_side_effect_placements, multipass_min_side_effect_placement, PlacementIndex,
-        };
         let view = eval(&q, &db).expect("evaluates");
         let targets: Vec<ViewLoc> = view
             .tuples
@@ -277,5 +280,41 @@ proptest! {
             prop_assert_eq!(&fast.source, &slow.source, "target {}", target);
             prop_assert_eq!(&fast.side_effects, &slow.side_effects, "target {}", target);
         }
+    }
+}
+
+/// The batched index, the batched solver and the multipass oracle agree on
+/// every location of the paper's user/group/file view.
+#[test]
+fn batched_index_and_multipass_agree_everywhere() {
+    let db = parse_database(
+        "relation UserGroup(user, grp) {
+             (ann, staff), (bob, staff), (bob, dev)
+         }
+         relation GroupFile(grp, file) {
+             (staff, report), (dev, main), (dev, report)
+         }",
+    )
+    .unwrap();
+    let q = parse_query("project(join(scan UserGroup, scan GroupFile), [user, file])").unwrap();
+    let view = eval(&q, &db).unwrap();
+    let index = PlacementIndex::build(&q, &db).unwrap();
+    let targets: Vec<ViewLoc> = view
+        .tuples
+        .iter()
+        .flat_map(|t| {
+            view.schema
+                .attrs()
+                .iter()
+                .map(|a| ViewLoc::new(t.clone(), a.clone()))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let batched = min_side_effect_placements(&q, &db, &targets).unwrap();
+    for (target, fast) in targets.iter().zip(&batched) {
+        assert_eq!(fast, &index.place(target).unwrap());
+        let slow = multipass_min_side_effect_placement(&q, &db, target).unwrap();
+        assert_eq!(fast.source, slow.source, "target {target}");
+        assert_eq!(fast.side_effects, slow.side_effects, "target {target}");
     }
 }

@@ -9,12 +9,15 @@
 //! solver returns.
 
 mod common;
+#[path = "support/naive_search.rs"]
+mod naive_search;
 
 use common::{small_database, typed_query};
 use dap::core::deletion::view_side_effect::{
-    min_view_side_effects, min_view_side_effects_naive, side_effect_free, ExactOptions,
+    min_view_side_effects, side_effect_free, ExactOptions,
 };
 use dap::prelude::*;
+use naive_search::min_view_side_effects_naive;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
