@@ -1,10 +1,12 @@
 //! Print the paper's **Figures 1–3** exactly as constructed by the
-//! reduction code, then solve each and verify against its oracle.
+//! reduction code, then solve each, verify it against its oracle, and time
+//! building and solving it (median of 5 runs).
 //!
 //! ```text
 //! cargo run --release -p dap-bench --bin report_figures
 //! ```
 
+use dap_bench::median_time;
 use dap_core::deletion::source_side_effect::min_source_deletion;
 use dap_core::deletion::view_side_effect::{side_effect_free, ExactOptions};
 use dap_core::figures;
@@ -20,19 +22,23 @@ fn main() {
     println!("=====================================================\n");
     println!("{}", figures::render_instance(&fig1.instance));
     let sat = dpll::is_satisfiable(&fig1.formula.to_cnf());
-    let sol = side_effect_free(
-        &fig1.instance.query,
-        &fig1.instance.db,
-        &fig1.instance.target,
-        &ExactOptions::default(),
-    )
-    .expect("solves");
+    let mut exists = false;
+    let t = median_time(5, || {
+        let fig = figures::figure1();
+        exists = side_effect_free(
+            &fig.instance.query,
+            &fig.instance.db,
+            &fig.instance.target,
+            &ExactOptions::default(),
+        )
+        .expect("solves")
+        .is_some();
+    });
     println!(
-        "\ngoal: delete (a, c). side-effect-free deletion exists: {} (DPLL: {})",
-        sol.is_some(),
-        sat
+        "\ngoal: delete (a, c). side-effect-free deletion exists: {exists} (DPLL: {sat}); \
+         built and solved in {t:?}"
     );
-    assert_eq!(sol.is_some(), sat);
+    assert_eq!(exists, sat);
 
     // ---------------- Figure 2 ----------------
     let fig2 = figures::figure2();
@@ -50,18 +56,23 @@ fn main() {
     });
     let view = dap_relalg::eval(&fig2.instance.query, &fig2.instance.db).expect("evaluates");
     println!("\n{}", view.to_table_string("output"));
-    let sol = side_effect_free(
-        &fig2.instance.query,
-        &fig2.instance.db,
-        &fig2.instance.target,
-        &ExactOptions::default(),
-    )
-    .expect("solves");
+    let mut exists = false;
+    let t = median_time(5, || {
+        let fig = figures::figure2();
+        exists = side_effect_free(
+            &fig.instance.query,
+            &fig.instance.db,
+            &fig.instance.target,
+            &ExactOptions::default(),
+        )
+        .expect("solves")
+        .is_some();
+    });
     println!(
-        "goal: delete (T, F). side-effect-free deletion exists: {}",
-        sol.is_some()
+        "goal: delete (T, F). side-effect-free deletion exists: {exists}; \
+         built and solved in {t:?}"
     );
-    assert_eq!(sol.is_some(), dpll::is_satisfiable(&fig2.formula.to_cnf()));
+    assert_eq!(exists, dpll::is_satisfiable(&fig2.formula.to_cnf()));
 
     // ---------------- Figure 3 ----------------
     let fig3 = figures::figure3();
@@ -71,18 +82,18 @@ fn main() {
     println!("=====================================================\n");
     println!("{}", figures::render_instance(&fig3.instance));
     let hs_opt = exact_hitting_set(&fig3.hitting_set).len();
-    let sol = min_source_deletion(
-        &fig3.instance.query,
-        &fig3.instance.db,
-        &fig3.instance.target,
-    )
-    .expect("solves");
+    let mut cost = 0;
+    let t = median_time(5, || {
+        let fig = figures::figure3();
+        cost = min_source_deletion(&fig.instance.query, &fig.instance.db, &fig.instance.target)
+            .expect("solves")
+            .source_cost();
+    });
     println!(
         "\ngoal: delete (c) with minimum source deletions.\n\
-         minimum source deletion = {} tuples; minimum hitting set = {} elements.",
-        sol.source_cost(),
-        hs_opt
+         minimum source deletion = {cost} tuples; minimum hitting set = {hs_opt} elements; \
+         built and solved in {t:?}"
     );
-    assert_eq!(sol.source_cost(), hs_opt);
+    assert_eq!(cost, hs_opt);
     println!("\nall three figures verified against their oracles.");
 }

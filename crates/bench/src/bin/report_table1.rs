@@ -1,12 +1,15 @@
 //! Regenerate **Table 1** (§2.1, side-effect-free view deletion): the
 //! paper's complexity rows plus measured evidence for each row — solver
-//! runtimes across a size sweep and reduction/oracle agreement counts.
+//! runtimes across a size sweep and reduction/oracle agreement counts —
+//! and the Cui–Widom lineage baseline (\[14\]) timed against the
+//! witness-hypergraph solver on the same decisions.
 //!
 //! ```text
 //! cargo run --release -p dap-bench --bin report_table1
 //! ```
 
-use dap_bench::{median_time, sj_workload, spu_workload};
+use dap_bench::lineage_baseline::side_effect_free_via_lineage;
+use dap_bench::{median_time, pj_multiwitness_workload, sj_workload, spu_workload};
 use dap_core::deletion::view_side_effect::{
     side_effect_free, sj_view_deletion, spu_view_deletion, ExactOptions,
 };
@@ -109,6 +112,44 @@ fn main() {
         println!("{:>8} {:>14?}", w.db.tuple_count(), t);
     }
 
+    // --- Baseline: Cui–Widom lineage enumeration [14] ----------------------
+    println!("\nLineage baseline [14] vs witness hypergraph — PJ user/group/file:");
+    println!(
+        "{:>10} {:>8} {:>14} {:>14} {:>8}",
+        "witnesses", "|S|", "hypergraph", "lineage", "agree"
+    );
+    for groups in [2usize, 3, 4] {
+        let w = pj_multiwitness_workload(3, groups, 3);
+        let mut fast = None;
+        let th = median_time(5, || {
+            fast = Some(
+                side_effect_free(&w.query, &w.db, &w.target, &ExactOptions::default())
+                    .expect("solves")
+                    .is_some(),
+            );
+        });
+        let mut slow = None;
+        let tl = median_time(5, || {
+            slow = Some(
+                side_effect_free_via_lineage(&w.query, &w.db, &w.target)
+                    .expect("solves")
+                    .is_some(),
+            );
+        });
+        let agree = fast == slow;
+        println!(
+            "{:>10} {:>8} {:>14?} {:>14?} {:>8}",
+            groups,
+            w.db.tuple_count(),
+            th,
+            tl,
+            if agree { "yes" } else { "NO" }
+        );
+        assert!(agree, "the lineage baseline must reach the same decision");
+    }
+
     println!("\nshape check: PJ/JU rows grow super-linearly in the encoded formula;");
-    println!("SPU/SJ rows grow ~linearly in |S| — the dichotomy of Table 1.");
+    println!("SPU/SJ rows grow ~linearly in |S| — the dichotomy of Table 1. The lineage");
+    println!("baseline re-evaluates the query per candidate, so its cost grows with the");
+    println!("witness count far faster than the hypergraph solver's.");
 }

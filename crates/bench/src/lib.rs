@@ -1,16 +1,26 @@
-//! # dap-bench — workloads and harness helpers
+//! # dap-bench — the paper's report harness
 //!
-//! Workload generators shared by the Criterion benches and the `report_*`
-//! binaries that regenerate the paper's tables and figures. Each generator
-//! produces instances for one row of a dichotomy table:
+//! Workload generators for the `report_table1`, `report_table2`,
+//! `report_table3` and `report_figures` binaries, which regenerate the
+//! paper's Tables 1–3 and Figures 1–3 and check each row against its
+//! oracle. Each generator produces instances for one row of a dichotomy
+//! table:
 //!
 //! * NP-hard rows are populated with the theorem reductions (monotone 3SAT
 //!   and hitting-set instances pushed through `dap-core::reductions`);
 //! * polynomial rows are populated with random databases of increasing size
 //!   under fixed-class queries (SPU / SJ / SJU / chain joins).
+//!
+//! [`lineage_baseline`] is the Cui–Widom baseline that `report_table1`
+//! times against the witness-hypergraph solver.
+//!
+//! Server performance, end to end and per layer, is measured by the
+//! separate `perfbench/` benchmark, not here.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+pub mod lineage_baseline;
 
 use dap_provenance::ViewLoc;
 use dap_relalg::{eval, schema, Database, Pred, Query, Relation, Tuple, Value};
@@ -204,83 +214,8 @@ pub fn pj_multiwitness_workload(users: usize, groups: usize, files: usize) -> De
     }
 }
 
-/// A family of `n` standing queries over one user/group/file database
-/// that share a heavy core: query 0 **is** the PJ core
-/// `Π_{user,file}(UserGroup ⋈ GroupFile)` of
-/// [`pj_multiwitness_workload`], and every further query is a distinct
-/// per-user subscription filter `σ_{user=uᵢ}(core)` — the multi-query
-/// serving shape where all the scan/join/project work is common and only
-/// a cheap select top differs per subscriber. A `PlanRegistry`
-/// materializes (and maintains) the core once for the whole family, while
-/// `n` independent one-query registries redo it `n` times; `report_shared`
-/// measures exactly that gap.
-pub fn shared_query_family(
-    n: usize,
-    users: usize,
-    groups: usize,
-    files: usize,
-) -> (Database, Vec<Query>) {
-    assert!(n >= 1, "a family has at least the core query");
-    let w = pj_multiwitness_workload(users, groups, files);
-    let core = w.query;
-    let mut queries = Vec::with_capacity(n);
-    queries.push(core.clone());
-    for i in 1..n {
-        let user = Value::str(format!("u{}", (i - 1) % users));
-        queries.push(core.clone().select(Pred::attr_eq_const("user", user)));
-    }
-    (w.db, queries)
-}
-
-/// A deterministic deletion stream for the view-maintenance benches: `k`
-/// tuple ids spread evenly across the whole database (every relation gets
-/// hit), in a fixed order. Spreading — rather than clustering on one
-/// relation — keeps each deletion's affected neighborhood representative.
-pub fn maintenance_deletion_sequence(db: &Database, k: usize) -> Vec<dap_relalg::Tid> {
-    let all: Vec<dap_relalg::Tid> = db.all_tids().collect();
-    if all.is_empty() || k == 0 {
-        return Vec::new();
-    }
-    let step = (all.len() / k).max(1);
-    all.into_iter().step_by(step).take(k).collect()
-}
-
-/// `slow / fast` as a speedup factor, guarded against a zero denominator.
-/// Shared by the `report_*` speedup binaries.
-pub fn speedup_ratio(slow: Duration, fast: Duration) -> f64 {
-    slow.as_secs_f64() / fast.as_secs_f64().max(f64::EPSILON)
-}
-
-/// A measured row of a speedup report: two instance-size fields, the slow
-/// and fast timings, and their [`speedup_ratio`].
-pub type SpeedupRow = (usize, usize, Duration, Duration, f64);
-
-/// Render the `BENCH_*.json` shape of a speedup report
-/// (`report_maintenance`): one object per row keyed by
-/// `keys = [size_a, size_b, slow_ns, fast_ns]`, plus the minimum speedup
-/// across rows as the headline `min_speedup` field.
-pub fn render_speedup_json(bench: &str, keys: [&str; 4], rows: &[SpeedupRow]) -> String {
-    let mut out = format!("{{\n  \"bench\": \"{bench}\",\n  \"rows\": [\n");
-    for (i, (a, b, slow, fast, speedup)) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"{}\": {a}, \"{}\": {b}, \"{}\": {}, \"{}\": {}, \
-             \"speedup\": {speedup:.2}}}{}\n",
-            keys[0],
-            keys[1],
-            keys[2],
-            slow.as_nanos(),
-            keys[3],
-            fast.as_nanos(),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    let min = rows.iter().map(|r| r.4).fold(f64::INFINITY, f64::min);
-    out.push_str(&format!("  ],\n  \"min_speedup\": {min:.2}\n}}\n"));
-    out
-}
-
-/// Median wall time of `runs` executions of `f` (reported by the `report_*`
-/// binaries; Criterion handles the statistics for `cargo bench`).
+/// Median wall time of `runs` executions of `f`, the timing every
+/// `report_*` binary prints.
 pub fn median_time<F: FnMut()>(runs: usize, mut f: F) -> Duration {
     assert!(runs >= 1);
     let mut samples: Vec<Duration> = (0..runs)
@@ -338,50 +273,6 @@ mod tests {
         let w = pj_multiwitness_workload(3, 4, 2);
         let witnesses = dap_provenance::minimal_witnesses(&w.query, &w.db, &w.target).unwrap();
         assert_eq!(witnesses.len(), 4, "one witness per group");
-    }
-
-    #[test]
-    fn shared_family_shares_the_whole_core() {
-        let (db, queries) = shared_query_family(4, 8, 3, 8);
-        assert_eq!(queries.len(), 4);
-        let mut reg = dap_relalg::PlanRegistry::<dap_relalg::Unit>::new(&db);
-        for q in &queries {
-            reg.register(q).expect("family queries register");
-        }
-        // The core is 2 scans + join + project = 4 shared nodes; each
-        // subscription filter adds exactly one select on top.
-        assert_eq!(reg.node_count(), 4 + (queries.len() - 1));
-        for (q, id) in queries.iter().zip(reg.query_ids()) {
-            assert_eq!(reg.view_len(id), eval(q, &db).expect("evaluates").len());
-        }
-    }
-
-    #[test]
-    fn speedup_json_shape() {
-        let rows = vec![
-            (
-                10,
-                3,
-                Duration::from_nanos(900),
-                Duration::from_nanos(100),
-                9.0,
-            ),
-            (
-                20,
-                4,
-                Duration::from_nanos(500),
-                Duration::from_nanos(100),
-                5.0,
-            ),
-        ];
-        let json = render_speedup_json("demo", ["size", "width", "slow_ns", "fast_ns"], &rows);
-        assert!(json.contains("\"bench\": \"demo\""));
-        assert!(json.contains("\"size\": 10, \"width\": 3, \"slow_ns\": 900, \"fast_ns\": 100"));
-        assert!(json.contains("\"min_speedup\": 5.00"));
-        assert_eq!(
-            speedup_ratio(Duration::from_nanos(900), Duration::from_nanos(100)),
-            9.0
-        );
     }
 
     #[test]

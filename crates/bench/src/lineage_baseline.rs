@@ -5,29 +5,13 @@
 //! contributing source tuples, then search deletion candidates, checking
 //! each by re-evaluating the view. The paper's §1 remark — "it is NP-hard to
 //! find all witnesses for a tuple in the output" — is why this baseline
-//! cannot beat the witness-hypergraph solvers; the ablation bench
-//! (`ablation_lineage_baseline`) measures the gap.
+//! cannot beat the witness-hypergraph solvers; `report_table1` measures the
+//! gap against `side_effect_free`.
 
-use crate::deletion::Deletion;
-use crate::error::{CoreError, Result};
+use dap_core::{CoreError, Deletion, Result};
 use dap_provenance::{lineage, lineage_support};
 use dap_relalg::{eval, Database, Query, Tid, Tuple};
 use std::collections::BTreeSet;
-
-/// Budget knobs for the baseline search.
-#[derive(Clone, Copy, Debug)]
-pub struct BaselineOptions {
-    /// Abort after this many candidate re-evaluations.
-    pub max_evaluations: u64,
-}
-
-impl Default for BaselineOptions {
-    fn default() -> Self {
-        BaselineOptions {
-            max_evaluations: u64::MAX,
-        }
-    }
-}
 
 /// Decide side-effect-free deletability the lineage way: enumerate subsets
 /// of the target's lineage in increasing size, re-evaluating the query for
@@ -36,7 +20,6 @@ pub fn side_effect_free_via_lineage(
     q: &Query,
     db: &Database,
     target: &Tuple,
-    opts: &BaselineOptions,
 ) -> Result<Option<Deletion>> {
     let before = eval(q, db)?;
     if !before.contains(target) {
@@ -48,19 +31,12 @@ pub fn side_effect_free_via_lineage(
         let l = lineage(q, db, target)?;
         lineage_support(&l).into_iter().collect()
     };
-    let mut evaluations = 0u64;
     // Breadth-first by subset size so the first hit is source-minimal among
     // side-effect-free deletions.
     for size in 1..=pool.len() {
         let mut indices: Vec<usize> = (0..size).collect();
         loop {
             let candidate: BTreeSet<Tid> = indices.iter().map(|&i| pool[i].clone()).collect();
-            evaluations += 1;
-            if evaluations > opts.max_evaluations {
-                return Err(CoreError::BudgetExhausted {
-                    budget: opts.max_evaluations,
-                });
-            }
             let after = eval(q, &db.without(&candidate))?;
             if !after.contains(target) && after.len() == before.len() - 1 {
                 // Exactly the target disappeared (monotone queries cannot
@@ -99,7 +75,7 @@ fn next_combination(indices: &mut [usize], n: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deletion::view_side_effect::{side_effect_free, ExactOptions};
+    use dap_core::deletion::view_side_effect::{side_effect_free, ExactOptions};
     use dap_relalg::{parse_database, parse_query, tuple};
 
     fn usergroup() -> (Query, Database) {
@@ -120,8 +96,7 @@ mod tests {
     fn baseline_agrees_with_hypergraph_solver() {
         let (q, db) = usergroup();
         for t in eval(&q, &db).unwrap().tuples.clone() {
-            let baseline =
-                side_effect_free_via_lineage(&q, &db, &t, &BaselineOptions::default()).unwrap();
+            let baseline = side_effect_free_via_lineage(&q, &db, &t).unwrap();
             let fast = side_effect_free(&q, &db, &t, &ExactOptions::default()).unwrap();
             assert_eq!(baseline.is_some(), fast.is_some(), "target {t}");
             if let Some(sol) = baseline {
@@ -140,37 +115,15 @@ mod tests {
         )
         .unwrap();
         let q = parse_query("project(join(scan R1, scan R2), [A, C])").unwrap();
-        let out =
-            side_effect_free_via_lineage(&q, &db, &tuple(["a", "c"]), &BaselineOptions::default())
-                .unwrap();
+        let out = side_effect_free_via_lineage(&q, &db, &tuple(["a", "c"])).unwrap();
         assert!(out.is_none(), "every deletion has a side effect here");
-    }
-
-    #[test]
-    fn baseline_budget_enforced() {
-        let (q, db) = usergroup();
-        let err = side_effect_free_via_lineage(
-            &q,
-            &db,
-            &tuple(["bob", "report"]),
-            &BaselineOptions { max_evaluations: 1 },
-        );
-        // Either it finds a solution on the very first candidate or the
-        // budget trips; with a 4-tuple pool the first singleton candidate is
-        // not a solution, so the second evaluation trips the budget.
-        assert!(matches!(err, Err(CoreError::BudgetExhausted { .. })));
     }
 
     #[test]
     fn baseline_errors_on_missing_target() {
         let (q, db) = usergroup();
         assert!(matches!(
-            side_effect_free_via_lineage(
-                &q,
-                &db,
-                &tuple(["zz", "zz"]),
-                &BaselineOptions::default()
-            ),
+            side_effect_free_via_lineage(&q, &db, &tuple(["zz", "zz"])),
             Err(CoreError::TargetNotInView { .. })
         ));
     }

@@ -9,7 +9,6 @@
 //! | [`view_side_effect`] | exact branch-and-bound over minimal hitting sets of the witness hypergraph; poly specializations for SPU / SJ | Thms 2.1–2.4 |
 //! | [`source_side_effect`] | exact minimum hitting set + greedy `H_n` approximation; poly SPU / SJ | Thms 2.5, 2.7–2.9 |
 //! | [`chain`] | min-cut over the layered witness network for chain joins | Thm 2.6 |
-//! | [`lineage_baseline`] | Cui–Widom-style candidate enumeration with re-evaluation | the \[14\] baseline |
 //! | [`crate::ilp`] | unified 0/1-ILP over the witness hypergraph (both objectives, weights, multi-tuple targets) | all of §2, generalized |
 //!
 //! The searches share two substrates: [`index::WitnessIndex`], the
@@ -24,7 +23,6 @@ pub mod context;
 pub mod index;
 pub mod instance;
 pub mod keyed;
-pub mod lineage_baseline;
 pub mod source_side_effect;
 pub mod view_side_effect;
 

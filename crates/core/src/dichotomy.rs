@@ -246,7 +246,7 @@ pub fn place_annotations(
 }
 
 /// Render one of the paper's tables as aligned text (used by the report
-/// binaries and EXPERIMENTS.md).
+/// binaries and `dap tables`).
 pub fn format_paper_table(problem: Problem) -> String {
     let rows = paper_table(problem);
     let header = match problem {

@@ -43,9 +43,7 @@
 //! the routed arms through the cached-index
 //! [`DeletionContext::min_view_side_effects_ilp_turn`] /
 //! [`DeletionContext::min_source_deletion_ilp_turn`]: the property tests
-//! in `tests/prop_ilp.rs` pin cost-identity on every dichotomy class, and
-//! the `report_ilp` bench binary races the two stacks on one context and
-//! asserts identical optima per row.
+//! in `tests/prop_ilp.rs` pin cost-identity on every dichotomy class.
 
 use crate::deletion::index::WitnessIndex;
 use crate::deletion::view_side_effect::ExactOptions;

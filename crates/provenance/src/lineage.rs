@@ -6,8 +6,8 @@
 //! fragment this is exactly the union of `t`'s minimal witnesses, grouped by
 //! relation. The paper's Section 1 notes that \[14\] uses lineage "as a
 //! starting point, to enumerate all candidate witnesses for a deletion" —
-//! `dap-core::deletion` implements that enumeration as the baseline the
-//! ablation bench compares against.
+//! `dap_bench::lineage_baseline` implements that enumeration as the
+//! baseline `report_table1` times against the witness-hypergraph solver.
 
 use crate::engine::LineageAnn;
 use crate::why::{why_provenance, WhyProvenance};

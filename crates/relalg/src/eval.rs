@@ -3,7 +3,7 @@
 //! The evaluator materializes every intermediate result. That is a deliberate
 //! choice: the paper's hardness results for annotation placement are in
 //! *combined* complexity, where the blow-up happens exactly in these
-//! intermediates, and the benches measure that blow-up.
+//! intermediates, and `report_table3` measures that blow-up.
 
 use crate::database::Database;
 use crate::error::Result;

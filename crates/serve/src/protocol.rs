@@ -268,17 +268,13 @@ impl Response {
     }
 }
 
-/// Parse `q<k>` (the [`QueryId`] `Display` form).
-pub fn parse_query_id(text: &str) -> Result<QueryId, String> {
-    let index = text
-        .strip_prefix('q')
-        .and_then(|k| k.parse::<u64>().ok())
-        .ok_or_else(|| format!("bad query id `{text}` (want q<k>)"))?;
-    Ok(QueryId::from_index(index))
-}
+/// Parse `q<k>` (the [`QueryId`] `Display` form): the commit log's
+/// parser, so the wire and the log read query ids one way.
+pub use dap_durability::log::parse_query_id;
 
-/// Parse a tuple literal — `(bob, report)`, values as int / bool /
-/// quoted-or-bare string. The same grammar the `dap` CLI accepts.
+/// Parse a tuple literal — `bob,report` or `(bob, report)`, values as
+/// int / bool / quoted-or-bare string. The `dap` CLI parses its tuple
+/// arguments with it too.
 pub fn parse_tuple(src: &str) -> Result<Tuple, String> {
     let inner = src.trim().trim_start_matches('(').trim_end_matches(')');
     if inner.trim().is_empty() {
@@ -381,6 +377,21 @@ mod tests {
             cmd,
         };
         assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+    }
+
+    #[test]
+    fn tuple_parsing() {
+        assert_eq!(parse_tuple("bob,report").unwrap(), tuple(["bob", "report"]));
+        assert_eq!(
+            parse_tuple("(bob, report)").unwrap(),
+            tuple(["bob", "report"])
+        );
+        assert_eq!(
+            parse_tuple("1, true, x").unwrap(),
+            Tuple::new(vec![Value::int(1), Value::bool(true), Value::str("x")])
+        );
+        assert_eq!(parse_tuple("'quoted'").unwrap(), tuple(["quoted"]));
+        assert_eq!(parse_tuple("()").unwrap().arity(), 0);
     }
 
     #[test]

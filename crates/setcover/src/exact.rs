@@ -2,9 +2,9 @@
 //!
 //! Exponential in the worst case (the problems are NP-hard — that is the
 //! point of Theorems 2.5 and 2.7), but with greedy upper bounds and a
-//! disjoint-set lower bound they handle the instance sizes the benches
-//! sweep. The exact optimum is what the greedy's measured approximation
-//! ratio in EXPERIMENTS.md is computed against.
+//! disjoint-set lower bound they handle the instance sizes the paper
+//! reports sweep. The exact optimum is what the greedy's measured
+//! approximation ratio in `report_table2` is computed against.
 
 use crate::greedy::{greedy_hitting_set, greedy_set_cover};
 use crate::instance::{HittingSet, SetCover};

@@ -45,6 +45,7 @@
 //! quotes are optional for bare symbols, integers and booleans are parsed.
 
 use dap::prelude::*;
+use dap::serve::protocol::parse_tuple;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -85,31 +86,6 @@ fn usage() -> &'static str {
 fn tuple_of<'a>(db: &'a Database, tid: &Tid) -> Result<&'a Tuple, String> {
     db.tuple(tid)
         .ok_or_else(|| format!("tuple id {tid} does not exist in the database"))
-}
-
-/// Parse a comma-separated tuple literal: `bob,report`, `(bob, report)`,
-/// `1,true,x`.
-fn parse_tuple(src: &str) -> Result<Tuple, String> {
-    let inner = src.trim().trim_start_matches('(').trim_end_matches(')');
-    if inner.trim().is_empty() {
-        return Ok(Tuple::new(Vec::<Value>::new()));
-    }
-    let values: Vec<Value> = inner
-        .split(',')
-        .map(|raw| {
-            let v = raw.trim().trim_matches('\'');
-            if let Ok(i) = v.parse::<i64>() {
-                Value::int(i)
-            } else if v == "true" {
-                Value::bool(true)
-            } else if v == "false" {
-                Value::bool(false)
-            } else {
-                Value::str(v)
-            }
-        })
-        .collect();
-    Ok(Tuple::new(values))
 }
 
 fn load_db(path: &str) -> Result<Database, String> {
@@ -374,21 +350,6 @@ fn take<const N: usize>(args: &[String]) -> Result<[&String; N], String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tuple_parsing() {
-        assert_eq!(parse_tuple("bob,report").unwrap(), tuple(["bob", "report"]));
-        assert_eq!(
-            parse_tuple("(bob, report)").unwrap(),
-            tuple(["bob", "report"])
-        );
-        assert_eq!(
-            parse_tuple("1, true, x").unwrap(),
-            Tuple::new(vec![Value::int(1), Value::bool(true), Value::str("x")])
-        );
-        assert_eq!(parse_tuple("'quoted'").unwrap(), tuple(["quoted"]));
-        assert_eq!(parse_tuple("()").unwrap().arity(), 0);
-    }
 
     #[test]
     fn classify_runs_without_files() {

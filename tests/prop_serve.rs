@@ -252,6 +252,42 @@ fn killed_server_recovers_acknowledged_prefix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Exactly-once across a crash. The dedup cache lives in engine memory,
+/// so a restarted server runs a resent `(client, seq)` pair again. The
+/// replay still converges: `register` is content-idempotent, and deleting
+/// already-deleted tids changes nothing.
+#[test]
+fn requests_resent_across_a_restart_apply_once() {
+    let dir = scratch_dir("resend");
+    let db = wide_database(4);
+    let q = parse_query("scan Edge").unwrap();
+    let edge0 = Tid::new("Edge", 0);
+    let handle = Server::create_and_start(&dir, &db, 0, fast_opts()).unwrap();
+    let mut c = Client::new(handle.addr(), client_opts("dup"));
+    let id = register(&mut c, &q);
+    expect_ok(&c.delete_source(std::slice::from_ref(&edge0)).unwrap());
+    drop(c);
+    handle.kill();
+
+    // A fresh client numbers its requests from 1 again, so it resends
+    // exactly the (dup, 1) and (dup, 2) the killed engine answered.
+    let handle = Server::start(&dir, 0, fast_opts()).unwrap();
+    let mut c = Client::new(handle.addr(), client_opts("dup"));
+    let again = c.register(&q).unwrap();
+    assert_eq!(expect_ok(&again), format!("{id} (existing)"));
+    expect_ok(&c.delete_source(std::slice::from_ref(&edge0)).unwrap());
+    drop(c);
+    handle.shutdown();
+
+    let (state, _) = recover(&dir).unwrap();
+    let mut oracle = PlanRegistry::<WitnessesAnn>::new(&db);
+    let oid = oracle.register(&q).unwrap();
+    oracle.delete_sources(std::slice::from_ref(&edge0));
+    assert_eq!(state.registry().committed(), oracle.committed());
+    assert_eq!(state.catalog().iter().collect::<Vec<_>>(), [(&oid, &q)]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Replay the directory's commit log (the serialization order) into a
 /// fresh oracle registry.
 fn replay_log_into_oracle(dir: &std::path::Path, db: &Database) -> PlanRegistry<WitnessesAnn> {
